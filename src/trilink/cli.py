@@ -70,7 +70,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--seed", type=int, default=0, help="master RNG seed")
         sp.add_argument("--alpha", type=float, default=0.85)
         sp.add_argument("--iterations", type=int, default=10, help="reinforced-iteration step count")
-        sp.add_argument("--threads", type=int, default=None, help="worker cap (default: all cores)")
+        sp.add_argument("--threads", type=int, default=None, help="accepted and ignored; runs are single-threaded")
         sp.add_argument("--out-dir", default=".", help="directory for result files")
 
     sp = add_parser("pairwise", help="success-probability experiments on seed edges")
@@ -188,14 +188,16 @@ def cmd_linkpred(args) -> int:
 
 
 def _default_diagnose_edge(g, ts) -> tuple[int, int]:
-    if ts.count == 0:
-        e = g.edge_array()[0]
-        return int(e[0]), int(e[1])
-    counts: dict[tuple[int, int], int] = {}
-    for a, b, c in ts.triples:
-        for e in ((int(a), int(b)), (int(a), int(c)), (int(b), int(c))):
-            counts[e] = counts.get(e, 0) + 1
-    return min(counts, key=lambda e: (-counts[e], e))
+    # The edge in the most triangles, smallest (u, v) among ties: count each
+    # triangle's corner pairs against the sorted keys u * n + v of the edges.
+    edges = g.edge_array()
+    keys = edges[:, 0] * g.n + edges[:, 1]
+    a, b, c = ts.triples.T
+    counts = np.zeros(len(edges), dtype=np.int64)
+    for x, y in ((a, b), (a, c), (b, c)):
+        counts += np.bincount(np.searchsorted(keys, x * g.n + y), minlength=len(edges))
+    u, v = edges[np.argmax(counts)]
+    return int(u), int(v)
 
 
 def cmd_diagnose(args) -> int:

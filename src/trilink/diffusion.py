@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 import numpy as np
-from scipy import stats
 
 from .graph import Graph
 from .triangles import TriangleSet, reinforced_matrix_apply, tensor_row_sums
@@ -25,6 +24,10 @@ from .triangles import TriangleSet, reinforced_matrix_apply, tensor_row_sums
 log = logging.getLogger("trilink")
 
 SEED_KINDS = ("single", "pair", "star", "weighted-star")
+
+# Seed columns per batched power iteration; keeps the n x _BLOCK iterates
+# cache-sized (32, 64 and 128 measured alike, unblocked about twice as slow).
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,13 @@ def pagerank_many(
     g: Graph, seeds: np.ndarray, params: DiffusionParams = DiffusionParams()
 ) -> np.ndarray:
     """Solve one PageRank system per column of ``seeds`` (n x k), sharing the
-    sparse matrix sweeps across columns."""
+    sparse matrix sweeps across columns.
+
+    Columns are solved in blocks of 64. A block stops once the largest L1
+    step among its columns is within the tolerance, so every column meets
+    the same residual bound as its own :func:`pagerank` call; columns that
+    settle early keep stepping with the rest of their block.
+    """
     seeds = np.asarray(seeds, dtype=np.float64)
     if seeds.shape[0] != g.n:
         raise ValueError("seed matrix must have n rows")
@@ -140,34 +149,43 @@ def pagerank_many(
 
 
 def _pagerank_columns(g: Graph, s: np.ndarray, params: DiffusionParams) -> np.ndarray:
-    deg = _walk_degrees(g)
+    # Power steps x <- A (x * alpha/deg) + (1 - alpha) s over blocks of
+    # _BLOCK columns; a block stops once its largest column L1 step is <= tol.
     a = g.adjacency
-    alpha = params.alpha
+    scale = (params.alpha / _walk_degrees(g))[:, None]
     tol = params.tolerance if params.tolerance is not None else 1e-15 * g.n
-    cap = math.ceil(1e6 / (1.0 - alpha))
-    x = s.copy()
-    dinv = (1.0 / deg)[:, None]
-    best = np.inf
-    stale = 0
-    for _ in range(cap):
-        x_next = alpha * (a @ (x * dinv)) + (1.0 - alpha) * s
-        delta = np.abs(x_next - x).sum(axis=0).max()
-        x = x_next
-        if delta <= tol:
-            break
-        # Rounding can floor the residual above a very tight tolerance; once
-        # the step size stops setting new lows we are at that floor.
-        if delta < best:
-            best = delta
-            stale = 0
-        else:
-            stale += 1
-            if stale >= 50:
-                log.debug("pagerank residual floored at %.3g (tolerance %.3g)", delta, tol)
+    cap = math.ceil(1e6 / (1.0 - params.alpha))
+    out = np.empty_like(s)
+    for lo in range(0, s.shape[1], _BLOCK):
+        block = s[:, lo : lo + _BLOCK]
+        # Seeds are sparse, so the teleport term goes to their nonzeros only.
+        rows, cols = np.nonzero(block)
+        teleport = (1.0 - params.alpha) * block[rows, cols]
+        x = block.copy()
+        best = np.inf
+        stale = 0
+        for _ in range(cap):
+            x_next = a @ (x * scale)
+            x_next[rows, cols] += teleport
+            step = x_next - x
+            delta = np.abs(step, out=step).sum(axis=0).max()
+            x = x_next
+            if delta <= tol:
                 break
-    else:
-        log.warning("pagerank hit the iteration cap before tolerance %.3g", tol)
-    return x
+            # Rounding can floor the residual above a very tight tolerance;
+            # once the step size stops setting new lows we are at that floor.
+            if delta < best:
+                best = delta
+                stale = 0
+            else:
+                stale += 1
+                if stale >= 50:
+                    log.debug("pagerank residual floored at %.3g (tolerance %.3g)", delta, tol)
+                    break
+        else:
+            log.warning("pagerank hit the iteration cap before tolerance %.3g", tol)
+        out[:, lo : lo + _BLOCK] = x
+    return out
 
 
 def single_seeded_pagerank(g: Graph, u: int, params: DiffusionParams = DiffusionParams()) -> ScoreVector:
@@ -295,6 +313,8 @@ def rank_stability(
         va, vb = va[keep], vb[keep]
     if len(va) < 2:
         raise ValueError("need at least 2 items to correlate")
+    from scipy import stats  # deferred: scipy.stats takes ~0.7 s to import
+
     rho = stats.spearmanr(va, vb).statistic
     tau = stats.kendalltau(va, vb).statistic
     return float(rho), float(tau)

@@ -14,13 +14,11 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .diffusion import (
     DiffusionParams,
@@ -292,6 +290,8 @@ def auc(scores: ScoreVector | np.ndarray, positives: Iterable[int], candidates: 
     n_neg = len(candidates) - len(pos)
     if n_neg == 0:
         raise ValueError("no negative examples")
+    from scipy.stats import rankdata  # deferred: scipy.stats takes ~0.7 s to import
+
     ranks = rankdata(values[candidates])
     u_stat = ranks[is_pos].sum() - len(pos) * (len(pos) + 1) / 2.0
     return float(u_stat / (len(pos) * n_neg))
@@ -444,6 +444,16 @@ DEFAULT_PAIRWISE_METHODS = (
 )
 
 
+def _method_output(name: str, values, n: int) -> np.ndarray:
+    """A method's scores as float64, checked for shape (n,) and NaN."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (n,):
+        raise ValueError(f"method {name!r} returned shape {values.shape}, expected ({n},)")
+    if np.isnan(values).any():
+        raise ValueError(f"method {name!r} returned NaN scores")
+    return values
+
+
 def _resolve_methods(methods) -> list[tuple[str, PairwiseMethod]]:
     out = []
     for m in methods:
@@ -507,8 +517,8 @@ def run_pairwise_experiment(
     ``allow_empty_truth``) and every method scores the same trial. loeto: a
     fresh triangles-out split per trial; invalid draws (seed endpoints or all
     truth lost to the component reduction) are discarded and resampled.
-    Results are deterministic for a given master seed, independent of
-    ``threads``.
+    Trials run in order, so results are deterministic for a given master
+    seed. ``threads`` is accepted and ignored.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -587,7 +597,7 @@ def run_pairwise_experiment(
         reports = []
         for name, fn in named:
             if truth:
-                best = _best_truth_rank(np.asarray(fn(ctx)), cands, truth)
+                best = _best_truth_rank(_method_output(name, fn(ctx), ctx.train.n), cands, truth)
             else:
                 best = -1
             for k in k_values:
@@ -604,12 +614,7 @@ def run_pairwise_experiment(
                 )
         return reports, ctx.digest(), rejected
 
-    n_workers = threads if threads and threads > 0 else (os.cpu_count() or 1)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            outcomes = list(ex.map(run_trial, range(trials)))
-    else:
-        outcomes = [run_trial(i) for i in range(trials)]
+    outcomes = [run_trial(i) for i in range(trials)]
 
     details: list[TrialReport] = []
     digests: list[str | None] = []
@@ -792,7 +797,8 @@ def run_standard_linkpred(
     per method by AUC over their non-neighbors, with the node's held-out
     partners as positives. The summary compares every method to the
     single-seed baseline, including the mean signed distance to the y = x
-    diagonal of the method-vs-baseline AUC scatter.
+    diagonal of the method-vs-baseline AUC scatter. Cohort nodes are scored
+    in order; ``threads`` is accepted and ignored.
     """
     named = []
     has_baseline = False
@@ -818,8 +824,8 @@ def run_standard_linkpred(
         log.warning("cohort shrunk to %d nodes (graph too small)", len(cohort))
 
     cache: dict = {}
-    # Prefetch every single-seed vector the methods will ask for in one
-    # deterministic batch, so threading cannot change batch composition.
+    # Solve every single-seed vector the methods will ask for in one batch,
+    # which shares each sparse sweep across columns.
     needed = set(cohort)
     if any(isinstance(m, str) and m in ("max", "max-singles") for m in methods):
         for i in cohort:
@@ -847,14 +853,9 @@ def run_standard_linkpred(
             train=train, params=params, node=i, candidates=cands,
             positives=positives, cache=cache,
         )
-        return [(name, auc(np.asarray(fn(ctx)), positives, cands)) for name, fn in named]
+        return [(name, auc(_method_output(name, fn(ctx), train.n), positives, cands)) for name, fn in named]
 
-    n_workers = threads if threads and threads > 0 else (os.cpu_count() or 1)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            results = list(ex.map(eval_node, cohort))
-    else:
-        results = [eval_node(i) for i in cohort]
+    results = [eval_node(i) for i in cohort]
 
     for i, res in zip(cohort, results):
         if res is None:

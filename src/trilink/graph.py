@@ -60,12 +60,13 @@ class EdgeList:
 
 
 def _token(tok: str) -> Label:
-    # Node IDs are opaque; integer-looking tokens become ints so labels
-    # round-trip the common numeric formats.
+    # Node IDs are opaque; a token becomes an int only when it is that int's
+    # canonical spelling, so distinct tokens such as "01" and "1" stay apart.
     try:
-        return int(tok)
+        value = int(tok)
     except ValueError:
         return tok
+    return value if str(value) == tok else tok
 
 
 def load_edge_list(source, has_timestamps: bool = False) -> EdgeList:

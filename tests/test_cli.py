@@ -3,12 +3,21 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from trilink import GpaParams, generate_gpa, load_edge_list, build_graph, write_edge_list
-from trilink.cli import main
+from trilink import (
+    EdgeList,
+    GpaParams,
+    build_graph,
+    enumerate_triangles,
+    generate_gpa,
+    load_edge_list,
+    write_edge_list,
+)
+from trilink.cli import _default_diagnose_edge, main
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +127,52 @@ def test_diagnose_zero_triangles(tmp_path):
         got = float(lines[i].split(",")[1])
         assert got == pytest.approx(delta, abs=1e-12)
         prev = cur
+
+
+def _diagnose_edge_reference(g, ts):
+    # Dict loop over every triangle's corner pairs; smallest pair wins ties.
+    if ts.count == 0:
+        e = g.edge_array()[0]
+        return int(e[0]), int(e[1])
+    counts: dict[tuple[int, int], int] = {}
+    for a, b, c in ts.triples:
+        for e in ((int(a), int(b)), (int(a), int(c)), (int(b), int(c))):
+            counts[e] = counts.get(e, 0) + 1
+    return min(counts, key=lambda e: (-counts[e], e))
+
+
+def test_default_diagnose_edge_matches_reference():
+    import numpy as np
+
+    rng = np.random.default_rng(5)
+    ties = 0
+    for _ in range(30):
+        n = int(rng.integers(6, 40))
+        iu, ju = np.triu_indices(n, k=1)
+        keep = rng.random(len(iu)) < rng.uniform(0.1, 0.6)
+        if not keep.any():
+            continue
+        g = build_graph(EdgeList(tuple(zip(iu[keep].tolist(), ju[keep].tolist()))))
+        ts = enumerate_triangles(g)
+        want = _diagnose_edge_reference(g, ts)
+        assert _default_diagnose_edge(g, ts) == want
+        counts = Counter(e for a, b, c in ts.triples.tolist() for e in ((a, b), (a, c), (b, c)))
+        ties += list(counts.values()).count(max(counts.values(), default=0)) > 1
+    assert ties >= 5
+    path = build_graph(EdgeList(((3, 1), (1, 2), (2, 0))))
+    ts = enumerate_triangles(path)
+    assert ts.count == 0
+    assert _default_diagnose_edge(path, ts) == _diagnose_edge_reference(path, ts)
+
+
+def test_diagnose_edge_keeps_leading_zero_labels(tmp_path):
+    path = tmp_path / "labels.tsv"
+    path.write_text("01 1\n1 b\n01 b\nb c\n")
+    rc = main(["diagnose", "--input", str(path), "--edge", "01,1", "--max-iters", "3",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    meta = json.loads((tmp_path / "diagnose_metadata.json").read_text())
+    assert meta["seed_edge"] == ["01", 1]
 
 
 def test_triangles_command(gpa_file, capsys):

@@ -15,6 +15,7 @@ from trilink import (
     enumerate_triangles,
     generate_gpa,
     GpaParams,
+    largest_connected_component,
     make_seed,
     pagerank,
     pagerank_many,
@@ -153,6 +154,27 @@ def test_pagerank_many_matches_single(couple):
     sols = pagerank_many(couple, seeds)
     assert np.allclose(sols[:, 0], pagerank(couple, SeedVector({0: 1.0})).values, atol=1e-12)
     assert np.allclose(sols[:, 2], pair_seeded_pagerank(couple, 0, 1).values, atol=1e-12)
+
+
+def test_pagerank_many_blocks_match_single_solves():
+    # 150 columns span the 64-column blocks; pair and star seeds put several
+    # teleport entries in one column.
+    g = largest_connected_component(generate_gpa(GpaParams(p_edge=0.5, steps=600, rng_seed=3)))
+    kinds = ("single", "pair", "star")
+    seeds = []
+    for c in range(150):
+        u = c % g.n
+        v = int(g.neighbors(u)[0])
+        seeds.append(make_seed(g, kinds[c % 3], u, v if kinds[c % 3] == "pair" else None))
+    s = np.column_stack([seed.dense(g.n) for seed in seeds])
+    sols = pagerank_many(g, s)
+    tol = 1e-15 * g.n
+    deg = g.degrees.astype(float)
+    for c, seed in enumerate(seeds):
+        x = sols[:, c]
+        assert np.abs(x - pagerank(g, seed).values).max() <= 1e-12
+        fixed_point = 0.15 * s[:, c] + 0.85 * (g.adjacency @ (x / deg))
+        assert np.abs(fixed_point - x).sum() <= tol
 
 
 def test_pair_seed_linearity(couple):

@@ -465,3 +465,40 @@ def test_linkpred_thread_independent():
     b = run_standard_linkpred(g, num_nodes=8, rng_seed=11, threads=4)
     assert a.nodes == b.nodes
     assert a.summary == b.summary
+
+
+# --- method output validation ----------------------------------------------
+
+
+def _short_output(ctx):
+    return np.zeros(ctx.train.n - 1)
+
+
+def _nan_output(ctx):
+    vals = np.zeros(ctx.train.n)
+    vals[0] = np.nan
+    return vals
+
+
+def test_pairwise_rejects_wrong_length_output():
+    g = small_gpa(steps=300)
+    with pytest.raises(ValueError, match="'short'.*shape"):
+        run_pairwise_experiment(g, "holdout", ["pairseed", ("short", _short_output)], trials=2)
+
+
+def test_pairwise_rejects_nan_output():
+    g = small_gpa(steps=300)
+    with pytest.raises(ValueError, match="'nan'.*NaN"):
+        run_pairwise_experiment(g, "holdout", ["pairseed", ("nan", _nan_output)], trials=2)
+
+
+def test_linkpred_rejects_wrong_length_output():
+    g = small_gpa(steps=300)
+    with pytest.raises(ValueError, match="'short'.*shape"):
+        run_standard_linkpred(g, num_nodes=3, methods=["single", ("short", _short_output)])
+
+
+def test_linkpred_rejects_nan_output():
+    g = small_gpa(steps=300)
+    with pytest.raises(ValueError, match="'nan'.*NaN"):
+        run_standard_linkpred(g, num_nodes=3, methods=["single", ("nan", _nan_output)])

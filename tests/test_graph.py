@@ -57,6 +57,16 @@ def test_load_mixed_tokens_and_negative_ids():
     assert el.pairs == ((-1, 2), ("node_a", 7))
 
 
+def test_load_keeps_distinct_numeric_spellings():
+    # Only an int's canonical spelling becomes an int; "01" and "1_0" would
+    # otherwise merge into nodes 1 and 10.
+    el = load_edge_list(io.StringIO("01 1\n1_0 10\n-1 01\n"))
+    assert el.pairs == (("01", 1), ("1_0", 10), (-1, "01"))
+    g = build_graph(el)
+    assert g.n == 5
+    assert set(g.labels) == {"01", 1, "1_0", 10, -1}
+
+
 def test_load_from_path(tmp_path):
     p = tmp_path / "edges.tsv"
     p.write_text("# comment\n10 20\n20 30\n", encoding="utf-8")
