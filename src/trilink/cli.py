@@ -201,6 +201,8 @@ def _default_diagnose_edge(g, ts) -> tuple[int, int]:
 
 
 def cmd_diagnose(args) -> int:
+    if args.max_iters < 0:
+        raise ValueError("max_iters must be >= 0")
     params = DiffusionParams(alpha=args.alpha, iterations=args.iterations)
     g = _load_graph(args)
     ts = enumerate_triangles(g)
@@ -215,25 +217,27 @@ def cmd_diagnose(args) -> int:
     else:
         u, v = _default_diagnose_edge(g, ts)
     seed = make_seed(g, "pair", u, v)
-    iterates = [seed.dense(g.n)]
-    deltas = []
-    for _, x, _, delta in trpr_iterates(g, ts, seed, params, args.weighted, iterations=args.max_iters):
-        iterates.append(x)
-        deltas.append(delta)
+    # Only the previous iterate and the reference iterate are kept; each
+    # consecutive pair's statistics are taken as the iteration runs.
+    ref = min(params.iterations, args.max_iters)
+    x = x_ref = seed.dense(g.n)
+    rows = ["iter,l1_delta,spearman_full,kendall_full,spearman_top100,kendall_top100\n"]
+    for i, x_next, _, delta in trpr_iterates(g, ts, seed, params, args.weighted, iterations=args.max_iters):
+        rho_f, tau_f = rank_stability(x, x_next)
+        rho_t, tau_t = rank_stability(x, x_next, top_k=args.top_k)
+        rows.append(f"{i},{delta!r},{rho_f!r},{tau_f!r},{rho_t!r},{tau_t!r}\n")
+        x = x_next
+        if i == ref:
+            x_ref = x
+    rho_f, tau_f = rank_stability(x_ref, x)
+    rho_t, tau_t = rank_stability(x_ref, x, top_k=args.top_k)
+    gap = float(np.abs(x - x_ref).sum())
+    rows.append(f"{ref}v{args.max_iters},{gap!r},{rho_f!r},{tau_f!r},{rho_t!r},{tau_t!r}\n")
 
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "diagnose.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("iter,l1_delta,spearman_full,kendall_full,spearman_top100,kendall_top100\n")
-        for i in range(1, len(iterates)):
-            rho_f, tau_f = rank_stability(iterates[i - 1], iterates[i])
-            rho_t, tau_t = rank_stability(iterates[i - 1], iterates[i], top_k=args.top_k)
-            fh.write(f"{i},{deltas[i - 1]!r},{rho_f!r},{tau_f!r},{rho_t!r},{tau_t!r}\n")
-        ref = min(params.iterations, args.max_iters)
-        rho_f, tau_f = rank_stability(iterates[ref], iterates[-1])
-        rho_t, tau_t = rank_stability(iterates[ref], iterates[-1], top_k=args.top_k)
-        gap = float(np.abs(iterates[-1] - iterates[ref]).sum())
-        fh.write(f"{ref}v{args.max_iters},{gap!r},{rho_f!r},{tau_f!r},{rho_t!r},{tau_t!r}\n")
+        fh.writelines(rows)
     meta = {
         "command": "diagnose",
         "input": str(args.input),

@@ -29,7 +29,15 @@ from .diffusion import (
     pair_seeded_pagerank,
     trpr,
 )
-from .graph import DataError, EdgeList, Graph, Label, build_graph, largest_connected_component
+from .graph import (
+    DataError,
+    EdgeList,
+    Graph,
+    Label,
+    build_graph,
+    edge_subgraph,
+    largest_connected_component,
+)
 from .local import LOCAL_METHODS, score_all_nodes
 from .triangles import TriangleSet, enumerate_triangles, triangle_edges
 
@@ -115,8 +123,8 @@ class SplitDataset:
 # splits
 
 
-def _assemble(train_pairs, test_pairs, protocol, rng_seed=None, meta=None, min_nodes=3) -> SplitDataset:
-    train = largest_connected_component(build_graph(EdgeList(tuple(train_pairs))))
+def _assemble(train: Graph, test_pairs, protocol, rng_seed=None, meta=None, min_nodes=3) -> SplitDataset:
+    train = largest_connected_component(train)
     if train.n < min_nodes:
         raise DataError(f"train component too small ({train.n} nodes)")
     return SplitDataset(
@@ -126,6 +134,18 @@ def _assemble(train_pairs, test_pairs, protocol, rng_seed=None, meta=None, min_n
         rng_seed=rng_seed,
         meta=meta or {},
     )
+
+
+def _split_by_mask(g: Graph, edges: np.ndarray, test_mask: np.ndarray, protocol, rng_seed=None,
+                   meta=None, min_nodes=3) -> SplitDataset:
+    """Split ``g`` by a boolean mask over ``edges = g.edge_array()`` (True:
+    held out). The train graph is built from the parent's dense edges
+    directly, indexed as :func:`build_graph` would index the same edges given
+    as label pairs."""
+    lab = g.labels
+    test_pairs = [(lab[u], lab[v]) for u, v in edges[test_mask].tolist()]
+    train = edge_subgraph(g, edges[~test_mask])
+    return _assemble(train, test_pairs, protocol, rng_seed, meta, min_nodes)
 
 
 def split_holdout(g: Graph, test_fraction: float, rng_seed) -> SplitDataset:
@@ -140,11 +160,8 @@ def split_holdout(g: Graph, test_fraction: float, rng_seed) -> SplitDataset:
     perm = np.random.default_rng(rng_seed).permutation(m)
     test_mask = np.zeros(m, dtype=bool)
     test_mask[perm[:t]] = True
-    lab = g.labels
-    train_pairs = [(lab[u], lab[v]) for u, v in edges[~test_mask]]
-    test_pairs = [(lab[u], lab[v]) for u, v in edges[test_mask]]
     seed_int = rng_seed if isinstance(rng_seed, int) else None
-    return _assemble(train_pairs, test_pairs, "holdout", seed_int, {"fraction": test_fraction})
+    return _split_by_mask(g, edges, test_mask, "holdout", seed_int, {"fraction": test_fraction})
 
 
 def split_temporal(edges: EdgeList, train_fraction: float) -> SplitDataset:
@@ -168,7 +185,8 @@ def split_temporal(edges: EdgeList, train_fraction: float) -> SplitDataset:
         raise DataError("temporal split would leave no test edges")
     train_pairs = [k for k, _ in ordered[:cut]]
     test_pairs = [k for k, _ in ordered[cut:]]
-    return _assemble(train_pairs, test_pairs, "temporal", None, {"fraction": train_fraction})
+    train = build_graph(EdgeList(tuple(train_pairs)))
+    return _assemble(train, test_pairs, "temporal", None, {"fraction": train_fraction})
 
 
 def split_loeto(g: Graph, seed_edge: tuple[int, int]) -> SplitDataset:
@@ -180,24 +198,15 @@ def split_loeto(g: Graph, seed_edge: tuple[int, int]) -> SplitDataset:
     wedge_nodes = np.intersect1d(g.neighbors(u), g.neighbors(v), assume_unique=True)
     if len(wedge_nodes) == 0:
         raise ValueError(f"seed edge ({u}, {v}) participates in no triangle")
-    removed = set()
-    for w in wedge_nodes:
-        w = int(w)
-        removed.add((min(u, w), max(u, w)))
-        removed.add((min(v, w), max(v, w)))
+    n, w = g.n, wedge_nodes
+    removed = np.concatenate([np.minimum(x, w) * n + np.maximum(x, w) for x in (u, v)])
+    edges = g.edge_array()
+    test_mask = np.isin(edges[:, 0] * n + edges[:, 1], removed)
     lab = g.labels
-    train_pairs = []
-    test_pairs = []
-    for a, b in g.edge_array():
-        pair = (lab[a], lab[b])
-        if (int(a), int(b)) in removed:
-            test_pairs.append(pair)
-        else:
-            train_pairs.append(pair)
     # A 2-node train component is a legal (if useless) outcome here; the
     # harness discards such trials rather than erroring.
-    return _assemble(
-        train_pairs, test_pairs, "loeto", None, {"seed_edge": (lab[u], lab[v])}, min_nodes=2
+    return _split_by_mask(
+        g, edges, test_mask, "loeto", None, {"seed_edge": (lab[u], lab[v])}, min_nodes=2
     )
 
 

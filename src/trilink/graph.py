@@ -209,17 +209,39 @@ def build_graph(edges: EdgeList | Iterable[tuple[Label, Label]]) -> Graph:
         log.debug("build_graph removed %d self-loop(s), %d duplicate(s)", loops, dups)
     if not dedup:
         raise DataError("edge list contains no usable edges")
-    n = len(index)
-    e = np.asarray(dedup, dtype=np.int64)
-    und = np.vstack([e, e[:, ::-1]])
-    order = np.lexsort((und[:, 1], und[:, 0]))
-    und = und[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(np.bincount(und[:, 0], minlength=n))
-    labels = [None] * n
+    labels = [None] * len(index)
     for lab, i in index.items():
         labels[i] = lab
-    return Graph(indptr=indptr, indices=und[:, 1].copy(), labels=tuple(labels))
+    return _from_index_pairs(np.asarray(dedup, dtype=np.int64), tuple(labels))
+
+
+def edge_subgraph(g: Graph, edges: np.ndarray) -> Graph:
+    """Graph on the given (k, 2) rows of ``g.edge_array()``.
+
+    Nodes are re-indexed in first-appearance order over the rows, as
+    :func:`build_graph` would index the same edges given as label pairs;
+    nodes on none of the rows are dropped.
+    """
+    edges = np.asarray(edges, dtype=np.int64)
+    if len(edges) == 0:
+        raise DataError("cannot build a graph from an empty edge list")
+    nodes, first, inverse = np.unique(edges, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    lab = g.labels
+    labels = tuple(lab[i] for i in nodes[order].tolist())
+    return _from_index_pairs(rank[inverse].reshape(edges.shape), labels)
+
+
+def _from_index_pairs(e: np.ndarray, labels: tuple[Label, ...]) -> Graph:
+    """CSR graph from an (m, 2) array of distinct undirected dense-index edges."""
+    n = len(labels)
+    und = np.vstack([e, e[:, ::-1]])
+    und = und[np.lexsort((und[:, 1], und[:, 0]))]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(np.bincount(und[:, 0], minlength=n))
+    return Graph(indptr=indptr, indices=und[:, 1].copy(), labels=labels)
 
 
 def to_edge_list(g: Graph) -> EdgeList:

@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from trilink import EdgeList, Graph, build_graph
+from trilink import EdgeList, Graph, build_graph, largest_connected_component
+from trilink.experiments import SplitDataset
 
 
 def neighbor_sets(g: Graph) -> list[set[int]]:
@@ -159,6 +160,39 @@ def auc_pairs(values: np.ndarray, positives, candidates) -> float:
             elif values[p] == values[q]:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+# -- splits -------------------------------------------------------------------
+
+
+def _label_pair_split(g: Graph, held_out, protocol, rng_seed, meta) -> SplitDataset:
+    """Train graph rebuilt from original-label pairs: build_graph, then the
+    largest component. ``held_out`` is a set of dense (u < v) edges."""
+    train_pairs, test_pairs = [], []
+    for u, v in g.edge_array().tolist():
+        pair = (g.labels[u], g.labels[v])
+        (test_pairs if (u, v) in held_out else train_pairs).append(pair)
+    train = largest_connected_component(build_graph(EdgeList(tuple(train_pairs))))
+    return SplitDataset(train, tuple(test_pairs), protocol, rng_seed, meta)
+
+
+def holdout_split(g: Graph, fraction: float, rng_seed: int) -> SplitDataset:
+    """split_holdout through label pairs (same permutation draw)."""
+    edges = g.edge_array().tolist()
+    t = max(1, round(fraction * len(edges)))
+    perm = np.random.default_rng(rng_seed).permutation(len(edges))
+    held_out = {tuple(edges[i]) for i in perm[:t]}
+    return _label_pair_split(g, held_out, "holdout", rng_seed, {"fraction": fraction})
+
+
+def loeto_split(g: Graph, u: int, v: int) -> SplitDataset:
+    """split_loeto through label pairs: both wedge edges of every node
+    adjacent to u and v are held out."""
+    nb = neighbor_sets(g)
+    held_out = set()
+    for w in nb[u] & nb[v]:
+        held_out |= {(min(u, w), max(u, w)), (min(v, w), max(v, w))}
+    return _label_pair_split(g, held_out, "loeto", None, {"seed_edge": (g.labels[u], g.labels[v])})
 
 
 # -- random instances ---------------------------------------------------------

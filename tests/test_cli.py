@@ -9,12 +9,17 @@ from pathlib import Path
 import pytest
 
 from trilink import (
+    DiffusionParams,
     EdgeList,
     GpaParams,
     build_graph,
     enumerate_triangles,
     generate_gpa,
+    largest_connected_component,
     load_edge_list,
+    make_seed,
+    rank_stability,
+    trpr_iterates,
     write_edge_list,
 )
 from trilink.cli import _default_diagnose_edge, main
@@ -102,6 +107,31 @@ def test_diagnose_schema(gpa_file, tmp_path):
     assert lines[-1].startswith("10v30,")
     meta = json.loads((tmp_path / "diagnose_metadata.json").read_text())
     assert meta["max_iters"] == 30 and len(meta["seed_edge"]) == 2
+
+
+def test_diagnose_rows_match_stored_iterates(gpa_file, tmp_path):
+    # Reference: keep every iterate, then compare consecutive pairs and the
+    # reference iterate against the last one.
+    import numpy as np
+
+    rc = main(["diagnose", "--input", str(gpa_file), "--max-iters", "15", "--iterations", "6",
+               "--top-k", "20", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    g = largest_connected_component(build_graph(load_edge_list(gpa_file)))
+    ts = enumerate_triangles(g)
+    u, v = _default_diagnose_edge(g, ts)
+    seed = make_seed(g, "pair", u, v)
+    params = DiffusionParams(alpha=0.85, iterations=6)
+    its = [seed.dense(g.n)] + [x for _, x, _, _ in trpr_iterates(g, ts, seed, params, iterations=15)]
+    deltas = [d for _, _, _, d in trpr_iterates(g, ts, seed, params, iterations=15)]
+    want = ["iter,l1_delta,spearman_full,kendall_full,spearman_top100,kendall_top100"]
+    for i in range(1, 16):
+        stats = rank_stability(its[i - 1], its[i]) + rank_stability(its[i - 1], its[i], top_k=20)
+        want.append(",".join([str(i), repr(deltas[i - 1])] + [repr(x) for x in stats]))
+    stats = rank_stability(its[6], its[-1]) + rank_stability(its[6], its[-1], top_k=20)
+    gap = float(np.abs(its[-1] - its[6]).sum())
+    want.append(",".join(["6v15", repr(gap)] + [repr(x) for x in stats]))
+    assert (tmp_path / "diagnose.csv").read_text().splitlines() == want
 
 
 def test_diagnose_zero_triangles(tmp_path):
@@ -225,6 +255,11 @@ def test_exit_codes(tmp_path, gpa_file):
         main(["pairwise", "--input", str(path), "--protocol", "loeto", "--trials", "2",
               "--out-dir", str(tmp_path)]) == 2
     )
+    # invalid value: negative diagnose step count, no file written
+    out = tmp_path / "neg"
+    assert main(["diagnose", "--input", str(gpa_file), "--max-iters", "-3",
+                 "--out-dir", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_config_file_defaults_and_override(gpa_file, tmp_path):

@@ -12,6 +12,7 @@ from trilink import (
     auc,
     build_graph,
     candidate_nodes,
+    enumerate_triangles,
     generate_gpa,
     ground_truth,
     largest_connected_component,
@@ -175,6 +176,41 @@ def test_loeto_requires_triangle(path3):
         split_loeto(path3, (0, 1))
     with pytest.raises(ValueError):
         split_loeto(path3, (0, 2))
+
+
+def assert_same_split(got, want):
+    assert np.array_equal(got.train.indptr, want.train.indptr)
+    assert np.array_equal(got.train.indices, want.train.indices)
+    assert got.train.labels == want.train.labels
+    assert got.test_pairs == want.test_pairs
+    assert (got.protocol, got.rng_seed, got.meta) == (want.protocol, want.rng_seed, want.meta)
+    assert got.unusable_test_edges == want.unusable_test_edges
+
+
+def test_splits_match_label_pair_rebuild():
+    for gseed in (2, 3, 4):
+        g = small_gpa(seed=gseed, steps=300)
+        for rseed in (0, 1, 7):
+            assert_same_split(split_holdout(g, 0.3, rseed), oracles.holdout_split(g, 0.3, rseed))
+        seeds = sorted({(int(a), int(b)) for a, b, _ in enumerate_triangles(g).triples})
+        rng = np.random.default_rng(gseed)
+        for i in rng.choice(len(seeds), size=8, replace=False):
+            u, v = seeds[i]
+            assert_same_split(split_loeto(g, (u, v)), oracles.loeto_split(g, u, v))
+
+
+def test_splits_match_label_pair_rebuild_when_lcc_drops_nodes(couple, triangle_pendant):
+    ix = couple.label_index
+    split = split_loeto(couple, (ix["b1"], ix["b2"]))
+    assert split.train.n < couple.n and split.unusable_test_edges > 0
+    assert_same_split(split, oracles.loeto_split(couple, ix["b1"], ix["b2"]))
+    ix = triangle_pendant.label_index
+    split = split_loeto(triangle_pendant, (ix[1], ix[2]))
+    assert split.train.n < triangle_pendant.n
+    assert_same_split(split, oracles.loeto_split(triangle_pendant, ix[1], ix[2]))
+    for rseed in range(6):
+        for g in (couple, triangle_pendant):
+            assert_same_split(split_holdout(g, 0.5, rseed), oracles.holdout_split(g, 0.5, rseed))
 
 
 # --- ground truth and candidates ---------------------------------------------

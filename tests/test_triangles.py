@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from trilink import (
     tensor_bilinear,
     tensor_row_sums,
 )
+from trilink import triangles as triangles_mod
+from trilink.triangles import triangle_edges
 
 import oracles
 
@@ -50,6 +54,79 @@ def test_canonical_unique_and_matches_brute_force():
         got = [tuple(int(x) for x in row) for row in ts.triples]
         assert len(set(got)) == len(got)
         assert got == oracles.brute_triangles(g)
+
+
+def test_tiny_wedge_chunks_match_brute_force(monkeypatch):
+    # Chunks of 3 wedges split rows mid-way, and most edges have more wedges
+    # than one chunk holds.
+    monkeypatch.setattr(triangles_mod, "_BLOCK", 3)
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        g = oracles.random_graph(rng)
+        got = [tuple(int(x) for x in row) for row in enumerate_triangles(g).triples]
+        assert got == oracles.brute_triangles(g)
+
+
+@pytest.mark.parametrize("block", [3, triangles_mod._BLOCK])
+def test_star_with_chords_hub_first(monkeypatch, block):
+    # Hub 0 joined to 1..9, plus the chords (1,2), (2,3), (5,7), (8,9): all
+    # 36 wedges sit on the hub's forward list, and edge (0, 1) alone has 8.
+    monkeypatch.setattr(triangles_mod, "_BLOCK", block)
+    pairs = [(0, i) for i in range(1, 10)] + [(1, 2), (2, 3), (5, 7), (8, 9)]
+    g = build_graph(EdgeList(tuple(pairs)))
+    assert g.labels[0] == 0
+    want = [(0, 1, 2), (0, 2, 3), (0, 5, 7), (0, 8, 9)]
+    assert [tuple(map(int, row)) for row in enumerate_triangles(g).triples] == want
+    assert oracles.brute_triangles(g) == want
+
+
+def test_complete_graph_counts():
+    for n in (3, 4, 7, 12):
+        g = build_graph(EdgeList(tuple((i, j) for i in range(n) for j in range(i + 1, n))))
+        assert enumerate_triangles(g).count == math.comb(n, 3)
+
+
+def test_triangle_free_shape_and_dtype():
+    # K_{3,4}: many wedges, none closed.
+    g = build_graph(EdgeList(tuple((i, j) for i in range(3) for j in range(3, 7))))
+    ts = enumerate_triangles(g)
+    assert ts.triples.shape == (0, 3)
+    assert ts.triples.dtype == np.int64
+    assert triangle_edges(ts) == set()
+
+
+def test_triples_sorted_contiguous_readonly():
+    rng = np.random.default_rng(41)
+    iu, ju = np.triu_indices(120, k=1)
+    keep = rng.random(len(iu)) < 0.3
+    g = build_graph(EdgeList(tuple(zip(iu[keep].tolist(), ju[keep].tolist()))))
+    t = enumerate_triangles(g).triples
+    assert t.dtype == np.int64 and t.flags.c_contiguous and not t.flags.writeable
+    assert np.all((t[:, 0] < t[:, 1]) & (t[:, 1] < t[:, 2]))
+    assert np.array_equal(np.lexsort(t.T[::-1]), np.arange(len(t)))
+
+
+def test_per_node_counts_match_networkx():
+    nx = pytest.importorskip("networkx")
+    h = nx.gnp_random_graph(200, 0.1, seed=3)
+    g = build_graph(EdgeList(tuple(h.edges())))
+    ts = enumerate_triangles(g)
+    per_node = np.bincount(ts.triples.ravel(), minlength=g.n)
+    want = nx.triangles(h)
+    assert ts.count > 0
+    assert [int(per_node[i]) for i in range(g.n)] == [want[lab] for lab in g.labels]
+
+
+def test_triangle_edges_match_triples():
+    rng = np.random.default_rng(9)
+    for _ in range(30):
+        g = oracles.random_graph(rng)
+        want = set()
+        for a, b, c in oracles.brute_triangles(g):
+            want |= {(a, b), (a, c), (b, c)}
+        got = triangle_edges(enumerate_triangles(g))
+        assert got == want
+        assert all(type(u) is int and type(v) is int for u, v in got)
 
 
 def test_bilinear_single_triangle_ones():
