@@ -203,6 +203,8 @@ def _default_diagnose_edge(g, ts) -> tuple[int, int]:
 def cmd_diagnose(args) -> int:
     if args.max_iters < 0:
         raise ValueError("max_iters must be >= 0")
+    if args.top_k < 1:
+        raise ValueError("top_k must be >= 1")
     params = DiffusionParams(alpha=args.alpha, iterations=args.iterations)
     g = _load_graph(args)
     ts = enumerate_triangles(g)

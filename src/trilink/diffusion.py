@@ -289,6 +289,8 @@ def convergence_trace(
 
 def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries, ties broken by ascending index."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     order = np.lexsort((np.arange(len(values)), -np.asarray(values, dtype=np.float64)))
     return order[:k]
 

@@ -5,6 +5,13 @@ A split always keeps the original edge universe intact: train edges and
 held-out test edges partition the input, the train side is rebuilt and
 reduced to its largest connected component, and test edges whose endpoints
 fell out of that component stay in the record but are flagged unusable.
+
+Both harnesses score methods the same way: a method is a ``(name, fn)``
+pair, and ``fn`` maps a :class:`TrialContext` to one float score per train
+node. Every context on one train graph shares a cache that enumerates the
+triangles once and solves each single-seed PageRank vector once. The
+pairwise ``pairseed`` scores come from that basis: seeded PageRank is linear
+in the seed, so the pair-seed solution is ½(x_u + x_v).
 """
 
 from __future__ import annotations
@@ -14,21 +21,13 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .diffusion import (
-    DiffusionParams,
-    ScoreVector,
-    make_seed,
-    pagerank,
-    pagerank_many,
-    pair_seeded_pagerank,
-    trpr,
-)
+from .diffusion import DiffusionParams, ScoreVector, make_seed, pagerank, pagerank_many, trpr
 from .graph import (
     DataError,
     EdgeList,
@@ -250,12 +249,15 @@ def candidate_nodes(train: Graph, u: int, v: int, rule: str = "either") -> np.nd
 def _best_truth_rank(values: np.ndarray, candidates: np.ndarray, truth: frozenset[int]) -> int:
     """1-based rank (within candidates, score descending, index ascending) of
     the best ground-truth node, or -1 if none is rankable."""
-    order = np.lexsort((candidates, -values[candidates]))
-    ranked = candidates[order]
-    member = np.isin(ranked, np.fromiter(truth, dtype=np.int64, count=len(truth)))
-    if not member.any():
+    s = values[candidates]
+    is_truth = np.isin(candidates, np.fromiter(truth, dtype=np.int64, count=len(truth)))
+    if not is_truth.any():
         return -1
-    return int(np.argmax(member)) + 1
+    # Count what sorts ahead of the best truth node: higher scores, and
+    # equal scores at a lower index than the first truth node with that score.
+    best = s[is_truth].max()
+    first = candidates[is_truth & (s == best)].min()
+    return 1 + int(np.count_nonzero(s > best)) + int(np.count_nonzero((s == best) & (candidates < first)))
 
 
 def success_probability(
@@ -307,28 +309,45 @@ def auc(scores: ScoreVector | np.ndarray, positives: Iterable[int], candidates: 
 
 
 # ---------------------------------------------------------------------------
-# pairwise method registry
+# trial context and method registries
 
 
 @dataclass(eq=False)
 class TrialContext:
-    """Everything a predictor may look at for one trial. All methods in a
-    trial receive the same context object."""
+    """Everything a method may look at when it scores one trial. Pairwise
+    trials fill the seed edge ``u``, ``v``; linkpred trials fill ``node``.
+    ``truth`` holds the ground-truth nodes (linkpred: the node's held-out
+    partners) and ``candidates`` the rankable nodes. All methods in a trial
+    receive the same context, and all contexts on one train graph share
+    ``cache``, so its triangles and single-seed vectors are computed once."""
 
     train: Graph
     params: DiffusionParams
-    u: int
-    v: int
-    truth: frozenset[int]
-    candidates: np.ndarray
-    cache: dict
-    _triangles: TriangleSet | None = None
+    cache: dict = field(default_factory=dict)
+    candidates: np.ndarray | None = None
+    truth: frozenset[int] = frozenset()
+    u: int | None = None
+    v: int | None = None
+    node: int | None = None
 
     @property
     def triangles(self) -> TriangleSet:
-        if self._triangles is None:
-            self._triangles = _triangles_cached(self.train, self.cache)
-        return self._triangles
+        ts = self.cache.get("triangles")
+        if ts is None:
+            ts = self.cache["triangles"] = enumerate_triangles(self.train)
+        return ts
+
+    def singles(self, nodes: Sequence[int]) -> dict[int, np.ndarray]:
+        """Single-seed PageRank vectors of ``nodes``; those not cached yet
+        are solved together in one :func:`pagerank_many` call."""
+        missing = [i for i in nodes if ("single", i) not in self.cache]
+        if missing:
+            seeds = np.zeros((self.train.n, len(missing)))
+            seeds[missing, np.arange(len(missing))] = 1.0
+            sols = pagerank_many(self.train, seeds, self.params)
+            for col, i in enumerate(missing):
+                self.cache[("single", i)] = sols[:, col]
+        return {i: self.cache[("single", i)] for i in nodes}
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -337,80 +356,71 @@ class TrialContext:
             self.train.m,
             int(self.u),
             int(self.v),
-            tuple(int(c) for c in self.candidates),
+            tuple(self.candidates.tolist()),
             tuple(sorted(int(t) for t in self.truth)),
         )
         h.update(repr(payload).encode())
         return h.hexdigest()
 
 
-def _triangles_cached(train: Graph, cache: dict) -> TriangleSet:
-    ts = cache.get("triangles")
-    if ts is None:
-        ts = enumerate_triangles(train)
-        cache["triangles"] = ts
-    return ts
+Method = Callable[[TrialContext], np.ndarray]
+PAIRWISE_METHODS: dict[str, Method] = {}
+LINKPRED_METHODS: dict[str, Method] = {}
 
 
-def _single_values(ctx: TrialContext, node: int) -> np.ndarray:
-    key = ("single", node)
-    vals = ctx.cache.get(key)
-    if vals is None:
-        vals = pagerank(ctx.train, make_seed(ctx.train, "single", node), ctx.params).values
-        ctx.cache[key] = vals
-    return vals
-
-
-PairwiseMethod = Callable[[TrialContext], np.ndarray]
-PAIRWISE_METHODS: dict[str, PairwiseMethod] = {}
-
-
-def _register(tag: str):
-    def deco(fn: PairwiseMethod) -> PairwiseMethod:
-        PAIRWISE_METHODS[tag] = fn
+def _register(registry: dict[str, Method], tag: str):
+    def deco(fn: Method) -> Method:
+        registry[tag] = fn
         return fn
 
     return deco
 
 
-@_register("pairseed")
+def _single(ctx: TrialContext, node: int) -> np.ndarray:
+    # One node per solve: a lone column is bit-equal to its own pagerank
+    # call, a column inside a batch is not.
+    return ctx.singles([node])[node]
+
+
+@_register(PAIRWISE_METHODS, "pairseed")
 def _m_pairseed(ctx: TrialContext) -> np.ndarray:
-    return pair_seeded_pagerank(ctx.train, ctx.u, ctx.v, ctx.params).values
+    # Linearity in the seed: the pair-seed solution is the endpoints' mean.
+    return (_single(ctx, ctx.u) + _single(ctx, ctx.v)) / 2.0
 
 
-@_register("ss")
+@_register(PAIRWISE_METHODS, "ss")
 def _m_single_low(ctx: TrialContext) -> np.ndarray:
-    return _single_values(ctx, min(ctx.u, ctx.v))
+    return _single(ctx, min(ctx.u, ctx.v))
 
 
-@_register("ss-high")
+@_register(PAIRWISE_METHODS, "ss-high")
 def _m_single_high(ctx: TrialContext) -> np.ndarray:
-    return _single_values(ctx, max(ctx.u, ctx.v))
+    return _single(ctx, max(ctx.u, ctx.v))
 
 
-@_register("max")
+@_register(PAIRWISE_METHODS, "max")
 def _m_max(ctx: TrialContext) -> np.ndarray:
-    return np.maximum(_single_values(ctx, ctx.u), _single_values(ctx, ctx.v))
+    return np.maximum(_single(ctx, ctx.u), _single(ctx, ctx.v))
 
 
-@_register("mul")
+@_register(PAIRWISE_METHODS, "mul")
 def _m_mul(ctx: TrialContext) -> np.ndarray:
-    return _single_values(ctx, ctx.u) * _single_values(ctx, ctx.v)
+    return _single(ctx, ctx.u) * _single(ctx, ctx.v)
 
 
-@_register("trpr")
+@_register(PAIRWISE_METHODS, "trpr")
 def _m_trpr(ctx: TrialContext) -> np.ndarray:
     seed = make_seed(ctx.train, "pair", ctx.u, ctx.v)
     return trpr(ctx.train, ctx.triangles, seed, ctx.params, weighted=False).values
 
 
-@_register("trprw")
+@_register(PAIRWISE_METHODS, "trprw")
 def _m_trprw(ctx: TrialContext) -> np.ndarray:
     seed = make_seed(ctx.train, "pair", ctx.u, ctx.v)
     return trpr(ctx.train, ctx.triangles, seed, ctx.params, weighted=True).values
 
 
-def _make_local(tag: str) -> PairwiseMethod:
+def _make_local(tag: str) -> Method:
     def fn(ctx: TrialContext) -> np.ndarray:
         return score_all_nodes(ctx.train, (ctx.u, ctx.v), tag).values
 
@@ -421,7 +431,8 @@ for _tag in LOCAL_METHODS:
     PAIRWISE_METHODS[_tag] = _make_local(_tag)
 
 
-@_register("oracle")
+@_register(PAIRWISE_METHODS, "oracle")
+@_register(LINKPRED_METHODS, "oracle")
 def _m_oracle(ctx: TrialContext) -> np.ndarray:
     # Harness upper bound: score 1 exactly on the ground truth.
     vals = np.zeros(ctx.train.n)
@@ -429,11 +440,54 @@ def _m_oracle(ctx: TrialContext) -> np.ndarray:
     return vals
 
 
-@_register("antioracle")
+@_register(PAIRWISE_METHODS, "antioracle")
 def _m_antioracle(ctx: TrialContext) -> np.ndarray:
     vals = np.zeros(ctx.train.n)
     vals[list(ctx.truth)] = -1.0
     return vals
+
+
+@_register(LINKPRED_METHODS, "single")
+def _lp_single(ctx: TrialContext) -> np.ndarray:
+    return _single(ctx, ctx.node)
+
+
+@_register(LINKPRED_METHODS, "sum")
+def _lp_sum(ctx: TrialContext) -> np.ndarray:
+    # Aggregating the pair-seed vectors of all incident edges collapses, by
+    # linearity, to one solve with the degree-weighted closed neighborhood.
+    seed = make_seed(ctx.train, "weighted-star", ctx.node)
+    return pagerank(ctx.train, seed, ctx.params).values
+
+
+@_register(LINKPRED_METHODS, "max")
+def _lp_max(ctx: TrialContext) -> np.ndarray:
+    i = ctx.node
+    nbrs = [int(j) for j in ctx.train.neighbors(i)]
+    vecs = ctx.singles([i] + nbrs)
+    xi = vecs[i]
+    pair_vectors = [(xi + vecs[j]) / 2.0 for j in nbrs]
+    return np.maximum.reduce(pair_vectors)
+
+
+@_register(LINKPRED_METHODS, "max-singles")
+def _lp_max_singles(ctx: TrialContext) -> np.ndarray:
+    i = ctx.node
+    nbrs = [int(j) for j in ctx.train.neighbors(i)]
+    vecs = ctx.singles([i] + nbrs)
+    return np.maximum.reduce([vecs[j] for j in [i] + nbrs])
+
+
+@_register(LINKPRED_METHODS, "star")
+def _lp_star(ctx: TrialContext) -> np.ndarray:
+    seed = make_seed(ctx.train, "star", ctx.node)
+    return pagerank(ctx.train, seed, ctx.params).values
+
+
+@_register(LINKPRED_METHODS, "trpr")
+def _lp_trpr(ctx: TrialContext) -> np.ndarray:
+    seed = make_seed(ctx.train, "star", ctx.node)
+    return trpr(ctx.train, ctx.triangles, seed, ctx.params).values
 
 
 DEFAULT_PAIRWISE_METHODS = (
@@ -451,6 +505,8 @@ DEFAULT_PAIRWISE_METHODS = (
     "aa-max",
     "aa-mul",
 )
+DEFAULT_LINKPRED_METHODS = ("single", "sum", "max", "star", "trpr")
+LINKPRED_BASELINE = "single"
 
 
 def _method_output(name: str, values, n: int) -> np.ndarray:
@@ -463,13 +519,13 @@ def _method_output(name: str, values, n: int) -> np.ndarray:
     return values
 
 
-def _resolve_methods(methods) -> list[tuple[str, PairwiseMethod]]:
+def _resolve_methods(methods, registry: dict[str, Method]) -> list[tuple[str, Method]]:
     out = []
     for m in methods:
         if isinstance(m, str):
-            if m not in PAIRWISE_METHODS:
+            if m not in registry:
                 raise ValueError(f"unknown method {m!r}")
-            out.append((m, PAIRWISE_METHODS[m]))
+            out.append((m, registry[m]))
         else:
             name, fn = m
             out.append((name, fn))
@@ -528,12 +584,19 @@ def run_pairwise_experiment(
     truth lost to the component reduction) are discarded and resampled.
     Trials run in order, so results are deterministic for a given master
     seed. ``threads`` is accepted and ignored.
+
+    Trials on one train graph (every holdout/temporal trial, or one loeto
+    trial) share a :class:`TrialContext` cache, so the triangles are listed
+    once and each endpoint's single-seed vector is solved once, in its own
+    one-column solve. ``pairseed``, ``ss``, ``max`` and ``mul`` all read
+    those vectors; ``pairseed`` is ½(x_u + x_v), which equals the pair-seed
+    solution by linearity, so its scores do not depend on the other methods.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if protocol not in ("holdout", "temporal", "loeto"):
         raise ValueError(f"unknown protocol {protocol!r}")
-    named = _resolve_methods(methods)
+    named = _resolve_methods(methods, PAIRWISE_METHODS)
     k_values = tuple(int(k) for k in k_values)
     base_policy = EvalPolicy(k=min(k_values), truth_mode=truth_mode, candidate_rule=candidate_rule)
     root = np.random.SeedSequence(rng_seed)
@@ -548,8 +611,6 @@ def run_pairwise_experiment(
         if protocol == "holdout":
             split = split_holdout(g, 0.3 if fraction is None else fraction, children[0])
 
-    shared_cache: dict = {}
-
     if protocol in ("holdout", "temporal"):
         if allow_empty_truth:
             eligible = [(int(u), int(v)) for u, v in split.train.edge_array()]
@@ -557,12 +618,13 @@ def run_pairwise_experiment(
             eligible = _eligible_seed_edges(split, base_policy)
         if not eligible:
             raise DataError("no eligible seed edges in the training graph")
+        shared = TrialContext(split.train, params)
 
         def make_trial(i: int):
             rng = np.random.default_rng(children[i + 1])
             u, v = eligible[rng.integers(len(eligible))]
             truth = ground_truth(split, (u, v), base_policy)
-            return split, u, v, truth, shared_cache, 0
+            return shared, u, v, truth, 0
 
     else:  # loeto
         ts_full = enumerate_triangles(g)
@@ -584,25 +646,17 @@ def run_pairwise_experiment(
                 if not truth:
                     rejected += 1
                     continue
-                return lsplit, tu, tv, truth, {}, rejected
+                return TrialContext(lsplit.train, params), tu, tv, truth, rejected
             return None
 
     def run_trial(i: int):
         made = make_trial(i)
         if made is None:
             return None, None, 50
-        tsplit, u, v, truth, cache, rejected = made
-        cands = candidate_nodes(tsplit.train, u, v, base_policy.rule)
-        ctx = TrialContext(
-            train=tsplit.train,
-            params=params,
-            u=u,
-            v=v,
-            truth=truth,
-            candidates=cands,
-            cache=cache,
-        )
-        lab = tsplit.train.labels
+        base, u, v, truth, rejected = made
+        cands = candidate_nodes(base.train, u, v, base_policy.rule)
+        ctx = replace(base, u=u, v=v, truth=truth, candidates=cands)
+        lab = ctx.train.labels
         reports = []
         for name, fn in named:
             if truth:
@@ -673,100 +727,6 @@ def run_pairwise_experiment(
 # standard link prediction harness
 
 
-@dataclass(eq=False)
-class NodeContext:
-    """Per-node context for the standard link prediction methods."""
-
-    train: Graph
-    params: DiffusionParams
-    node: int
-    candidates: np.ndarray
-    positives: frozenset[int]
-    cache: dict
-
-    @property
-    def triangles(self) -> TriangleSet:
-        return _triangles_cached(self.train, self.cache)
-
-    def singles(self, nodes: Sequence[int]) -> dict[int, np.ndarray]:
-        """Single-seed PageRank vectors, batch-solved and cached."""
-        missing = [i for i in nodes if ("single", i) not in self.cache]
-        if missing:
-            seeds = np.zeros((self.train.n, len(missing)))
-            for col, i in enumerate(missing):
-                seeds[i, col] = 1.0
-            sols = pagerank_many(self.train, seeds, self.params)
-            for col, i in enumerate(missing):
-                self.cache[("single", i)] = sols[:, col]
-        return {i: self.cache[("single", i)] for i in nodes}
-
-
-NodeMethod = Callable[[NodeContext], np.ndarray]
-LINKPRED_METHODS: dict[str, NodeMethod] = {}
-
-
-def _register_lp(tag: str):
-    def deco(fn: NodeMethod) -> NodeMethod:
-        LINKPRED_METHODS[tag] = fn
-        return fn
-
-    return deco
-
-
-@_register_lp("single")
-def _lp_single(ctx: NodeContext) -> np.ndarray:
-    return ctx.singles([ctx.node])[ctx.node]
-
-
-@_register_lp("sum")
-def _lp_sum(ctx: NodeContext) -> np.ndarray:
-    # Aggregating the pair-seed vectors of all incident edges collapses, by
-    # linearity, to one solve with the degree-weighted closed neighborhood.
-    seed = make_seed(ctx.train, "weighted-star", ctx.node)
-    return pagerank(ctx.train, seed, ctx.params).values
-
-
-@_register_lp("max")
-def _lp_max(ctx: NodeContext) -> np.ndarray:
-    i = ctx.node
-    nbrs = [int(j) for j in ctx.train.neighbors(i)]
-    vecs = ctx.singles([i] + nbrs)
-    xi = vecs[i]
-    pair_vectors = [(xi + vecs[j]) / 2.0 for j in nbrs]
-    return np.maximum.reduce(pair_vectors)
-
-
-@_register_lp("max-singles")
-def _lp_max_singles(ctx: NodeContext) -> np.ndarray:
-    i = ctx.node
-    nbrs = [int(j) for j in ctx.train.neighbors(i)]
-    vecs = ctx.singles([i] + nbrs)
-    return np.maximum.reduce([vecs[j] for j in [i] + nbrs])
-
-
-@_register_lp("star")
-def _lp_star(ctx: NodeContext) -> np.ndarray:
-    seed = make_seed(ctx.train, "star", ctx.node)
-    return pagerank(ctx.train, seed, ctx.params).values
-
-
-@_register_lp("trpr")
-def _lp_trpr(ctx: NodeContext) -> np.ndarray:
-    seed = make_seed(ctx.train, "star", ctx.node)
-    return trpr(ctx.train, ctx.triangles, seed, ctx.params).values
-
-
-@_register_lp("oracle")
-def _lp_oracle(ctx: NodeContext) -> np.ndarray:
-    vals = np.zeros(ctx.train.n)
-    vals[list(ctx.positives)] = 1.0
-    return vals
-
-
-DEFAULT_LINKPRED_METHODS = ("single", "sum", "max", "star", "trpr")
-LINKPRED_BASELINE = "single"
-
-
 @dataclass(frozen=True)
 class LinkpredNodeRow:
     node: Label
@@ -809,17 +769,8 @@ def run_standard_linkpred(
     diagonal of the method-vs-baseline AUC scatter. Cohort nodes are scored
     in order; ``threads`` is accepted and ignored.
     """
-    named = []
-    has_baseline = False
-    for m in methods:
-        if isinstance(m, str):
-            if m not in LINKPRED_METHODS:
-                raise ValueError(f"unknown method {m!r}")
-            named.append((m, LINKPRED_METHODS[m]))
-            has_baseline = has_baseline or m == LINKPRED_BASELINE
-        else:
-            named.append(m)
-    if not has_baseline:
+    named = _resolve_methods(methods, LINKPRED_METHODS)
+    if LINKPRED_BASELINE not in methods:
         named.insert(0, (LINKPRED_BASELINE, LINKPRED_METHODS[LINKPRED_BASELINE]))
 
     root = np.random.SeedSequence(rng_seed)
@@ -832,19 +783,14 @@ def run_standard_linkpred(
     if len(cohort) < num_nodes:
         log.warning("cohort shrunk to %d nodes (graph too small)", len(cohort))
 
-    cache: dict = {}
+    basis = TrialContext(train, params)
     # Solve every single-seed vector the methods will ask for in one batch,
     # which shares each sparse sweep across columns.
     needed = set(cohort)
-    if any(isinstance(m, str) and m in ("max", "max-singles") for m in methods):
+    if any(m in ("max", "max-singles") for m in methods):
         for i in cohort:
             needed.update(int(j) for j in train.neighbors(i))
-    prefetch = sorted(needed)
-    seeds = np.zeros((train.n, len(prefetch)))
-    seeds[prefetch, np.arange(len(prefetch))] = 1.0
-    sols = pagerank_many(train, seeds, params)
-    for col, i in enumerate(prefetch):
-        cache[("single", i)] = sols[:, col]
+    basis.singles(sorted(needed))
     skipped = 0
     rows: list[LinkpredNodeRow] = []
     per_method: dict[str, list[float]] = {name: [] for name, _ in named}
@@ -858,10 +804,7 @@ def run_standard_linkpred(
         positives = frozenset(adj.get(i, set()))
         if not positives or len(positives) >= len(cands):
             return None
-        ctx = NodeContext(
-            train=train, params=params, node=i, candidates=cands,
-            positives=positives, cache=cache,
-        )
+        ctx = replace(basis, node=i, candidates=cands, truth=positives)
         return [(name, auc(_method_output(name, fn(ctx), train.n), positives, cands)) for name, fn in named]
 
     results = [eval_node(i) for i in cohort]
@@ -912,62 +855,35 @@ def run_standard_linkpred(
 # report files
 
 
-def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(x) for x in row) + "\n")
+def _write_reports(out_dir, prefix: str, tables: dict, metadata: dict) -> dict:
+    """Write ``<prefix>_<key>.csv`` for each ``key: (row class, rows)`` table,
+    one column per field of the row class, plus the replayable
+    ``<prefix>_metadata.json``; returns the written paths."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {}
+    for key, (row_class, rows) in tables.items():
+        names = [f.name for f in fields(row_class)]
+        paths[key] = os.path.join(out_dir, f"{prefix}_{key}.csv")
+        with open(paths[key], "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(names) + "\n")
+            for row in rows:
+                fh.write(",".join(str(getattr(row, name)) for name in names) + "\n")
+    paths["metadata"] = os.path.join(out_dir, f"{prefix}_metadata.json")
+    with open(paths["metadata"], "w", encoding="utf-8") as fh:
+        json.dump(metadata, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return paths
 
 
 def write_pairwise_reports(result: PairwiseResult, out_dir, prefix: str = "pairwise") -> dict:
     """Emit summary/detail CSVs plus a replayable metadata sidecar; returns
     the written paths."""
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "summary": os.path.join(out_dir, f"{prefix}_summary.csv"),
-        "detail": os.path.join(out_dir, f"{prefix}_detail.csv"),
-        "metadata": os.path.join(out_dir, f"{prefix}_metadata.json"),
-    }
-    _write_csv(
-        paths["summary"],
-        ["method", "k", "trials", "discards", "mean_sp"],
-        ((r.method, r.k, r.trials, r.discards, r.mean_sp) for r in result.summary),
-    )
-    _write_csv(
-        paths["detail"],
-        ["method", "k", "seed_u", "seed_v", "truth_count", "best_rank", "sp"],
-        (
-            (r.method, r.k, r.seed_u, r.seed_v, r.truth_count, r.best_rank, r.sp)
-            for r in result.details
-        ),
-    )
-    with open(paths["metadata"], "w", encoding="utf-8") as fh:
-        json.dump(result.metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return paths
+    tables = {"summary": (PairwiseSummaryRow, result.summary), "detail": (TrialReport, result.details)}
+    return _write_reports(out_dir, prefix, tables, result.metadata)
 
 
 def write_linkpred_reports(result: LinkpredResult, out_dir, prefix: str = "linkpred") -> dict:
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "nodes": os.path.join(out_dir, f"{prefix}_nodes.csv"),
-        "summary": os.path.join(out_dir, f"{prefix}_summary.csv"),
-        "metadata": os.path.join(out_dir, f"{prefix}_metadata.json"),
-    }
-    _write_csv(
-        paths["nodes"],
-        ["node", "degree", "method", "auc"],
-        ((r.node, r.degree, r.method, r.auc) for r in result.nodes),
-    )
-    _write_csv(
-        paths["summary"],
-        ["method", "mean_auc", "mean_delta_vs_baseline", "mean_dist_to_diag"],
-        (
-            (r.method, r.mean_auc, r.mean_delta_vs_baseline, r.mean_dist_to_diag)
-            for r in result.summary
-        ),
-    )
-    with open(paths["metadata"], "w", encoding="utf-8") as fh:
-        json.dump(result.metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return paths
+    """Emit per-node and summary CSVs plus a replayable metadata sidecar;
+    returns the written paths."""
+    tables = {"nodes": (LinkpredNodeRow, result.nodes), "summary": (LinkpredSummaryRow, result.summary)}
+    return _write_reports(out_dir, prefix, tables, result.metadata)

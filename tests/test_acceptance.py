@@ -221,6 +221,13 @@ def test_metric_oracles_and_monotonicity():
         if 0 < len(truth) < len(cands):
             got = auc(values, truth, cands)
             assert got == pytest.approx(oracles.auc_pairs(values, truth, cands), abs=1e-12)
+    # hundreds of candidates, in any order, with infinite scores and wide ties
+    for _ in range(60):
+        n = int(rng.integers(100, 600))
+        values = rng.choice([-np.inf, 0.25, 0.5, np.inf], size=n)
+        cands = rng.permutation(n)[: int(rng.integers(2, n + 1))]
+        truth = frozenset(int(t) for t in rng.choice(cands, size=int(rng.integers(1, 8)), replace=False))
+        assert _best_truth_rank(values, cands, truth) == oracles.sp_oracle(values, cands, truth, 1)[0]
     # monotonicity on a real experiment output
     g = generate_gpa(GpaParams(p_edge=0.6, steps=500, rng_seed=14))
     res = run_pairwise_experiment(

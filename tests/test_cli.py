@@ -260,6 +260,12 @@ def test_exit_codes(tmp_path, gpa_file):
     assert main(["diagnose", "--input", str(gpa_file), "--max-iters", "-3",
                  "--out-dir", str(out)]) == 3
     assert not out.exists()
+    # invalid value: diagnose top-k below 1, rejected before any work
+    for top_k in ("0", "-5"):
+        out = tmp_path / f"top{top_k}"
+        assert main(["diagnose", "--input", str(gpa_file), "--top-k", top_k,
+                     "--out-dir", str(out)]) == 3
+        assert not out.exists()
 
 
 def test_config_file_defaults_and_override(gpa_file, tmp_path):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from trilink import (
+    DEFAULT_PAIRWISE_METHODS,
     DataError,
+    DiffusionParams,
     EdgeList,
     EvalPolicy,
     GpaParams,
@@ -27,7 +29,7 @@ from trilink import (
     split_temporal,
     success_probability,
 )
-from trilink.experiments import _best_truth_rank
+from trilink.experiments import TrialContext, _best_truth_rank
 
 import oracles
 
@@ -538,3 +540,60 @@ def test_linkpred_rejects_nan_output():
     g = small_gpa(steps=300)
     with pytest.raises(ValueError, match="'nan'.*NaN"):
         run_standard_linkpred(g, num_nodes=3, methods=["single", ("nan", _nan_output)])
+
+
+# --- the shared single-seed basis ---------------------------------------------
+
+
+@pytest.mark.parametrize("protocol", ["holdout", "loeto"])
+def test_pairseed_rows_independent_of_other_methods(protocol, monkeypatch):
+    import trilink.experiments as ex
+
+    scored = []
+    pairseed = ex.PAIRWISE_METHODS["pairseed"]
+
+    def recording(ctx):
+        vals = pairseed(ctx)
+        scored.append((ctx.train, ctx.u, ctx.v, vals))
+        return vals
+
+    monkeypatch.setitem(ex.PAIRWISE_METHODS, "pairseed", recording)
+    g = small_gpa(steps=400)
+    kw = dict(k_values=(5, 25), trials=12, rng_seed=21)
+    alone = run_pairwise_experiment(g, protocol, ["pairseed"], **kw)
+    full = run_pairwise_experiment(g, protocol, DEFAULT_PAIRWISE_METHODS, **kw)
+    assert alone.details == [r for r in full.details if r.method == "pairseed"]
+    assert len(scored) == 24
+    # Same scores either way: the mean of the endpoints' lone pagerank solves.
+    for train, u, v, vals in scored:
+        x_u = pagerank(train, make_seed(train, "single", u)).values
+        x_v = pagerank(train, make_seed(train, "single", v)).values
+        assert np.array_equal(vals, (x_u + x_v) / 2.0)
+
+
+def test_triangles_enumerated_once_per_train_graph(monkeypatch):
+    import trilink.experiments as ex
+
+    calls = []
+
+    def counting(graph):
+        calls.append(graph.n)
+        return enumerate_triangles(graph)
+
+    monkeypatch.setattr(ex, "enumerate_triangles", counting)
+    g = small_gpa(steps=400)
+    run_pairwise_experiment(g, "holdout", ["trpr", "trprw"], trials=15, rng_seed=6)
+    assert len(calls) == 1
+    calls.clear()
+    res = run_pairwise_experiment(g, "loeto", ["trpr", "trprw"], trials=15, rng_seed=6)
+    assert len(calls) == 1 + res.metadata["trials_completed"]
+
+
+def test_context_singles_bit_equal_to_pagerank():
+    g = small_gpa(steps=400)
+    train = split_holdout(g, 0.3, 5).train
+    params = DiffusionParams(alpha=0.8)
+    ctx = TrialContext(train, params)
+    for i in (0, 7, train.n // 2, train.n - 1):
+        want = pagerank(train, make_seed(train, "single", i), params).values
+        assert np.array_equal(ctx.singles([i])[i], want)
