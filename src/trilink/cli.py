@@ -295,10 +295,22 @@ def cmd_gen_gpa(args) -> int:
     return 0
 
 
+def _config_path(argv: list[str]) -> str | None:
+    """The value of ``--config`` in either spelling (``--config PATH`` or
+    ``--config=PATH``); the last one wins, as argparse would store it."""
+    path = None
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            break
+        if arg.startswith("--config="):
+            path = arg.partition("=")[2]
+        elif arg == "--config" and i + 1 < len(argv):
+            path = argv[i + 1]
+    return path
+
+
 def _apply_config(parser: _Parser, argv: list[str]) -> None:
-    if "--config" not in argv:
-        return
-    path = argv[argv.index("--config") + 1] if argv.index("--config") + 1 < len(argv) else None
+    path = _config_path(argv)
     if path is None:
         return
     try:

@@ -218,6 +218,8 @@ def trpr_iterates(
     power step toward the seed. The contraction's column sums come from
     :func:`tensor_row_sums`; the matrix itself is never formed.
     """
+    if ts.n != g.n:
+        raise ValueError(f"triangle set has {ts.n} nodes but the graph has {g.n}")
     deg = _walk_degrees(g)
     alpha = params.alpha
     n_iter = params.iterations if iterations is None else iterations

@@ -5,11 +5,21 @@ wedges expanded in bounded chunks and closed by a binary search on the sorted
 edge keys. The (symmetric, 0/1) triangle indicator tensor is never
 materialized: every product is an accumulation over the canonical triangle
 list, so all costs are linear in the number of triangles.
+
+The products walk the list in blocks of ``_BLOCK`` triangles. Each
+``TriangleSet`` caches, on first use, a corner index per block: the block's
+corner columns joined as a|b|c, 3T int64 in all (6.9 MB at T = 287k). A
+product does one gather per input vector per block from that index, forms
+the corner weights in place, and scatters them with one ``bincount`` per
+block. The output bits depend on ``_BLOCK`` and on the a|b|c join order,
+which fix the order of the floating-point sums: changing either changes the
+bytes of every result written from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +39,18 @@ class TriangleSet:
     @property
     def count(self) -> int:
         return len(self.triples)
+
+    @cached_property
+    def _corner_index(self) -> tuple[np.ndarray, ...]:
+        """Per block of ``_BLOCK`` triangles, the corner columns joined as
+        a|b|c: the scatter index of the contractions, and the gather index
+        of their corner values."""
+        blocks = []
+        for lo in range(0, self.count, _BLOCK):
+            idx = np.ascontiguousarray(self.triples[lo : lo + _BLOCK].T).ravel()
+            idx.setflags(write=False)
+            blocks.append(idx)
+        return tuple(blocks)
 
 
 # Expand wedges and accumulate in fixed-size blocks so the gather/scatter
@@ -92,6 +114,19 @@ def _check_len(ts: TriangleSet, vec: np.ndarray, name: str) -> np.ndarray:
     return vec
 
 
+def _thirds(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The a, b and c parts of a vector laid out like a corner index block."""
+    size = len(v) // 3
+    return v[:size], v[size : 2 * size], v[2 * size :]
+
+
+def _cross_into(out: np.ndarray, tmp: np.ndarray, p, q, r, s) -> None:
+    """out = p*q + r*s, rounded exactly as that expression, in place."""
+    np.multiply(p, q, out=out)
+    np.multiply(r, s, out=tmp)
+    np.add(out, tmp, out=out)
+
+
 def tensor_bilinear(ts: TriangleSet, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """z with z_i = sum_{j,k} T(i,j,k) * y(j) * x(k).
 
@@ -102,16 +137,15 @@ def tensor_bilinear(ts: TriangleSet, x: np.ndarray, y: np.ndarray) -> np.ndarray
     x = _check_len(ts, x, "x")
     y = _check_len(ts, y, "y")
     z = np.zeros(ts.n)
-    for lo in range(0, ts.count, _BLOCK):
-        a, b, c = ts.triples[lo : lo + _BLOCK].T
-        idx = np.concatenate([a, b, c])
-        w = np.concatenate(
-            [
-                y[b] * x[c] + y[c] * x[b],
-                y[a] * x[c] + y[c] * x[a],
-                y[a] * x[b] + y[b] * x[a],
-            ]
-        )
+    for idx in ts._corner_index:
+        xa, xb, xc = _thirds(x[idx])
+        ya, yb, yc = _thirds(y[idx])
+        w = np.empty(len(idx))
+        wa, wb, wc = _thirds(w)
+        tmp = np.empty(len(wa))
+        _cross_into(wa, tmp, yb, xc, yc, xb)
+        _cross_into(wb, tmp, ya, xc, yc, xa)
+        _cross_into(wc, tmp, ya, xb, yb, xa)
         z += np.bincount(idx, weights=w, minlength=ts.n)
     return z
 
@@ -124,10 +158,13 @@ def tensor_row_sums(ts: TriangleSet, x: np.ndarray) -> np.ndarray:
     """
     x = _check_len(ts, x, "x")
     z = np.zeros(ts.n)
-    for lo in range(0, ts.count, _BLOCK):
-        a, b, c = ts.triples[lo : lo + _BLOCK].T
-        idx = np.concatenate([a, b, c])
-        w = np.concatenate([x[b] + x[c], x[a] + x[c], x[a] + x[b]])
+    for idx in ts._corner_index:
+        xa, xb, xc = _thirds(x[idx])
+        w = np.empty(len(idx))
+        wa, wb, wc = _thirds(w)
+        np.add(xb, xc, out=wa)
+        np.add(xa, xc, out=wb)
+        np.add(xa, xb, out=wc)
         z += np.bincount(idx, weights=w, minlength=ts.n)
     return z
 

@@ -96,6 +96,65 @@ def trpr_dense(g: Graph, triples, seed_dense: np.ndarray, alpha: float, iters: i
     return x
 
 
+# -- blockwise tensor contraction (bit reference) ---------------------------
+#
+# The contraction as first written: per block of ``block`` triangles, the
+# corner columns joined with np.concatenate and one gather per corner use.
+# The library must reproduce these bits exactly, not just to 1e-12, because
+# diagnose.csv writes every l1_delta with repr.
+
+
+def blockwise_bilinear(triples, n: int, x, y, block: int) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    z = np.zeros(n)
+    for lo in range(0, len(triples), block):
+        a, b, c = triples[lo : lo + block].T
+        idx = np.concatenate([a, b, c])
+        w = np.concatenate(
+            [
+                y[b] * x[c] + y[c] * x[b],
+                y[a] * x[c] + y[c] * x[a],
+                y[a] * x[b] + y[b] * x[a],
+            ]
+        )
+        z += np.bincount(idx, weights=w, minlength=n)
+    return z
+
+
+def blockwise_row_sums(triples, n: int, x, block: int) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    z = np.zeros(n)
+    for lo in range(0, len(triples), block):
+        a, b, c = triples[lo : lo + block].T
+        idx = np.concatenate([a, b, c])
+        w = np.concatenate([x[b] + x[c], x[a] + x[c], x[a] + x[b]])
+        z += np.bincount(idx, weights=w, minlength=n)
+    return z
+
+
+def blockwise_trpr_iterates(g: Graph, triples, seed_dense: np.ndarray, alpha: float,
+                            iters: int, block: int, weighted: bool = False):
+    """Yield (x_i, gamma_i, l1_delta_i) in the library's order of operations."""
+    deg = g.degrees.astype(np.float64)
+    sum_a = float(deg.sum())
+    x0 = seed_dense
+    x = x0
+    for _ in range(iters):
+        rs = blockwise_row_sums(triples, g.n, x, block)
+        if weighted:
+            total = rs.sum()
+            gamma = sum_a / total if total > 0 else 0.0
+        else:
+            gamma = 1.0
+        y = x / (gamma * rs + deg)
+        tx_y = gamma * blockwise_bilinear(triples, g.n, x, y, block) + g.adjacency @ y
+        x_next = alpha * tx_y + (1.0 - alpha) * x0
+        delta = float(np.abs(x_next - x).sum())
+        x = x_next
+        yield x, gamma, delta
+
+
 # -- local similarity set algebra ------------------------------------------
 
 
@@ -196,6 +255,14 @@ def loeto_split(g: Graph, u: int, v: int) -> SplitDataset:
 
 
 # -- random instances ---------------------------------------------------------
+
+
+def gnp_graph(n: int, p: float, rng_seed: int) -> Graph:
+    """G(n, p): upper-triangle pairs kept with probability p."""
+    rng = np.random.default_rng(rng_seed)
+    iu, ju = np.triu_indices(n, 1)
+    keep = rng.random(len(iu)) < p
+    return build_graph(EdgeList(tuple(zip(iu[keep].tolist(), ju[keep].tolist()))))
 
 
 def random_graph(rng: np.random.Generator, max_n: int = 12) -> Graph:

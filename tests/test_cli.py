@@ -287,6 +287,19 @@ def test_config_file_defaults_and_override(gpa_file, tmp_path):
     assert meta2["trials_requested"] == 6
 
 
+def test_config_both_spellings_agree(gpa_file, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max-iters": 3}))
+    spellings = {"sep": ["--config", str(cfg)], "eq": [f"--config={cfg}"]}
+    for name, flag in spellings.items():
+        rc = main(["diagnose", "--input", str(gpa_file), *flag, "--out-dir", str(tmp_path / name)])
+        assert rc == 0
+    rows = (tmp_path / "sep" / "diagnose.csv").read_text().splitlines()
+    assert len(rows) == 1 + 3 + 1
+    for name in ("diagnose.csv", "diagnose_metadata.json"):
+        assert read(tmp_path / "sep" / name) == read(tmp_path / "eq" / name)
+
+
 def test_pairwise_temporal_or_mode(tmp_path):
     edges = [("a", "b")]
     edges += [(h, c) for c in ("c1", "c2", "c3") for h in ("a", "b")]

@@ -9,6 +9,7 @@ from trilink import (
     Graph,
     ScoreVector,
     SeedVector,
+    TriangleSet,
     build_graph,
     combine_scores,
     convergence_trace,
@@ -27,6 +28,7 @@ from trilink import (
     trpr,
     trpr_iterates,
 )
+from trilink import triangles as triangles_mod
 
 import oracles
 
@@ -256,6 +258,31 @@ def test_trpr_matches_dense_reference_random_graphs():
             got = trpr(g, ts, seed, params, weighted=weighted).values
             want = oracles.trpr_dense(g, ts.triples, seed.dense(g.n), 0.85, 7, weighted=weighted)
             assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_trpr_iterates_bit_equal_to_blockwise_reference(monkeypatch, weighted):
+    # 4096-triangle blocks: nine blocks on this graph, the last one short.
+    monkeypatch.setattr(triangles_mod, "_BLOCK", 4096)
+    g = oracles.gnp_graph(300, 0.2, rng_seed=5)
+    ts = TriangleSet(g.n, enumerate_triangles(g).triples)
+    seed = make_seed(g, "pair", 0, int(g.neighbors(0)[0]))
+    want = oracles.blockwise_trpr_iterates(
+        g, ts.triples, seed.dense(g.n), 0.85, 50, 4096, weighted=weighted
+    )
+    got = trpr_iterates(g, ts, seed, weighted=weighted, iterations=50)
+    steps = 0
+    for (_, x, gamma, delta), (x_ref, gamma_ref, delta_ref) in zip(got, want):
+        assert np.array_equal(x, x_ref)
+        assert gamma == gamma_ref and delta == delta_ref
+        steps += 1
+    assert steps == 50
+
+
+def test_trpr_rejects_triangle_set_of_another_graph(couple, k5):
+    seed = make_seed(couple, "pair", 0, 1)
+    with pytest.raises(ValueError, match=f"{k5.n} nodes.*graph has {couple.n}"):
+        next(trpr_iterates(couple, enumerate_triangles(k5), seed))
 
 
 def test_trpr_zero_triangles_is_power_iteration(path3):

@@ -7,6 +7,7 @@ import pytest
 
 from trilink import (
     EdgeList,
+    TriangleSet,
     build_graph,
     enumerate_triangles,
     reinforced_matrix_apply,
@@ -235,3 +236,38 @@ def test_tx_matrix_is_symmetric():
                 ej = np.zeros(g.n)
                 ej[j] = 1.0
                 assert abs(col[j] - tensor_bilinear(ts, x, ej)[i]) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def gnp300():
+    g = oracles.gnp_graph(300, 0.2, rng_seed=5)
+    return g, enumerate_triangles(g).triples
+
+
+@pytest.mark.parametrize("block", [7, 4096])
+def test_contractions_bit_equal_to_blockwise_reference(monkeypatch, gnp300, block):
+    g, triples = gnp300
+    monkeypatch.setattr(triangles_mod, "_BLOCK", block)
+    ts = TriangleSet(g.n, triples)
+    rng = np.random.default_rng(29)
+    vectors = [
+        rng.random(g.n),
+        rng.normal(size=2 * g.n)[::2],  # non-contiguous view
+        rng.integers(-3, 9, size=g.n),  # integer dtype
+    ]
+    for x, y in zip(vectors, vectors[1:] + vectors[:1]):
+        want = oracles.blockwise_row_sums(triples, g.n, x, block)
+        assert np.array_equal(tensor_row_sums(ts, x), want)
+        want = oracles.blockwise_bilinear(triples, g.n, x, y, block)
+        assert np.array_equal(tensor_bilinear(ts, x, y), want)
+
+
+def test_corner_index_is_cached_per_triangle_set(k5):
+    ts = enumerate_triangles(k5)
+    tensor_row_sums(ts, np.ones(k5.n))
+    index = ts._corner_index
+    tensor_bilinear(ts, np.ones(k5.n), np.ones(k5.n))
+    assert ts._corner_index is index
+    (idx,) = index
+    assert np.array_equal(idx, ts.triples.T.ravel())
+    assert not idx.flags.writeable
