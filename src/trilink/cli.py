@@ -6,13 +6,18 @@ Subcommands: ``pairwise`` (success-probability experiments), ``linkpred``
 ``gen-gpa`` (synthetic graph generation). Results go to CSV files with a
 JSON metadata sidecar; stdout carries progress only.
 
+Every subcommand takes ``--log-level`` (default ``warning``), which routes
+the ``trilink`` logger to stderr at that level for the command.
+
 Exit codes: 0 ok, 1 usage error, 2 data error, 3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import os
 import sys
 
@@ -55,6 +60,30 @@ def _csv_strs(text: str) -> list[str]:
     return [x.strip() for x in text.split(",") if x.strip()]
 
 
+LOG_LEVELS = ("debug", "info", "warning", "error")
+
+
+@contextlib.contextmanager
+def _log_to_stderr(level: str):
+    """Send the ``trilink`` logger to stderr at ``level`` for one command.
+
+    The handler is removed and the logger's level restored afterwards, so a
+    caller that runs :func:`main` many times in one process never stacks
+    handlers.
+    """
+    log = logging.getLogger("trilink")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    previous = log.level
+    log.setLevel(level.upper())
+    log.addHandler(handler)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(previous)
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="trilink", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.subcommands = {}
@@ -65,7 +94,16 @@ def _build_parser() -> _Parser:
         p.subcommands[name] = sp
         return sp
 
+    def log_level(sp):
+        sp.add_argument(
+            "--log-level",
+            choices=LOG_LEVELS,
+            default="warning",
+            help="messages of the trilink logger at this level or above go to stderr",
+        )
+
     def common(sp):
+        log_level(sp)
         sp.add_argument("--config", help="JSON file supplying defaults for any flag")
         sp.add_argument("--seed", type=int, default=0, help="master RNG seed")
         sp.add_argument("--alpha", type=float, default=0.85)
@@ -116,6 +154,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--list", action="store_true", help="print the triples as TSV")
     sp.add_argument("--timestamps", action="store_true")
     sp.add_argument("--config", help=argparse.SUPPRESS)
+    log_level(sp)
     sp.set_defaults(fn=cmd_triangles)
 
     sp = add_parser("gen-gpa", help="generate a preferential-attachment graph")
@@ -125,6 +164,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--clique", type=int, default=5, help="starting clique size")
     sp.add_argument("--out", required=True, help="output edge-list path")
     sp.add_argument("--config", help=argparse.SUPPRESS)
+    log_level(sp)
     sp.set_defaults(fn=cmd_gen_gpa)
 
     return p
@@ -320,7 +360,19 @@ def _apply_config(parser: _Parser, argv: list[str]) -> None:
         raise DataError(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):
         raise DataError(f"config {path} must hold a JSON object")
+    # One config may serve several subcommands, so a key only has to name a
+    # long flag of one of them; anything else is a typo.
+    flags = {
+        opt[2:].replace("-", "_")
+        for sp in parser.subcommands.values()
+        for action in sp._actions
+        for opt in action.option_strings
+        if opt.startswith("--")
+    }
     defaults = {key.replace("-", "_"): val for key, val in cfg.items()}
+    for key in cfg:
+        if key.replace("-", "_") not in flags:
+            raise DataError(f"config {path}: {key!r} names no flag of any subcommand")
     for sp in parser.subcommands.values():
         sp.set_defaults(**defaults)
 
@@ -331,7 +383,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(parser, argv)
         args = parser.parse_args(argv)
-        return args.fn(args)
+        with _log_to_stderr(args.log_level):
+            return args.fn(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except (DataError, OSError) as exc:

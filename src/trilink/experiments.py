@@ -8,10 +8,13 @@ fell out of that component stay in the record but are flagged unusable.
 
 Both harnesses score methods the same way: a method is a ``(name, fn)``
 pair, and ``fn`` maps a :class:`TrialContext` to one float score per train
-node. Every context on one train graph shares a cache that enumerates the
+node. Every context on one train graph shares a cache that lists the
 triangles once and solves each single-seed PageRank vector once. The
 pairwise ``pairseed`` scores come from that basis: seeded PageRank is linear
-in the seed, so the pair-seed solution is ½(x_u + x_v).
+in the seed, so the pair-seed solution is ½(x_u + x_v). A loeto trial's
+train graph is a subgraph of the parent graph, so its triangles are taken
+from the parent's list (enumerated once per run) rather than enumerated
+again, and only when a method reads them.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .graph import (
     largest_connected_component,
 )
 from .local import LOCAL_METHODS, score_all_nodes
-from .triangles import TriangleSet, enumerate_triangles, triangle_edges
+from .triangles import TriangleSet, enumerate_triangles, subgraph_triangles, triangle_edges
 
 log = logging.getLogger("trilink")
 
@@ -319,7 +322,10 @@ class TrialContext:
     ``truth`` holds the ground-truth nodes (linkpred: the node's held-out
     partners) and ``candidates`` the rankable nodes. All methods in a trial
     receive the same context, and all contexts on one train graph share
-    ``cache``, so its triangles and single-seed vectors are computed once."""
+    ``cache``, so its triangles and single-seed vectors are computed once.
+    When ``cache`` holds ``"parent"``, a ``(TriangleSet, Graph)`` pair of a
+    graph that ``train`` is a subgraph of, the triangles are taken from the
+    parent's list instead of being enumerated."""
 
     train: Graph
     params: DiffusionParams
@@ -334,7 +340,12 @@ class TrialContext:
     def triangles(self) -> TriangleSet:
         ts = self.cache.get("triangles")
         if ts is None:
-            ts = self.cache["triangles"] = enumerate_triangles(self.train)
+            parent = self.cache.get("parent")
+            if parent is None:
+                ts = enumerate_triangles(self.train)
+            else:
+                ts = subgraph_triangles(*parent, self.train)
+            self.cache["triangles"] = ts
         return ts
 
     def singles(self, nodes: Sequence[int]) -> dict[int, np.ndarray]:
@@ -591,6 +602,10 @@ def run_pairwise_experiment(
     one-column solve. ``pairseed``, ``ss``, ``max`` and ``mul`` all read
     those vectors; ``pairseed`` is ½(x_u + x_v), which equals the pair-seed
     solution by linearity, so its scores do not depend on the other methods.
+    loeto enumerates the parent graph's triangles once, to draw seed edges;
+    each trial takes its train graph's triangles from that list
+    (:func:`~trilink.triangles.subgraph_triangles`, array-equal to a fresh
+    enumeration), and only if a method reads them.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -646,7 +661,8 @@ def run_pairwise_experiment(
                 if not truth:
                     rejected += 1
                     continue
-                return TrialContext(lsplit.train, params), tu, tv, truth, rejected
+                ctx = TrialContext(lsplit.train, params, cache={"parent": (ts_full, g)})
+                return ctx, tu, tv, truth, rejected
             return None
 
     def run_trial(i: int):

@@ -107,6 +107,40 @@ def enumerate_triangles(g: Graph) -> TriangleSet:
     return TriangleSet(n=n, triples=triples)
 
 
+def subgraph_triangles(ts: TriangleSet, g: Graph, sub: Graph) -> TriangleSet:
+    """The triangles of ``sub``, taken from the triangles ``ts`` of ``g``.
+
+    ``sub`` must be a subgraph of ``g`` with nodes matched by label, such as
+    a split's train graph. Its triangles are then exactly the triangles of
+    ``g`` whose three corner pairs are edges of ``sub``. Those rows are
+    relabelled to ``sub``'s indices and re-canonicalized (each row sorted,
+    then the rows in lexicographic order), so the result is array-equal to
+    ``enumerate_triangles(sub)``. The relabel need not be monotone, so the
+    sort is needed. The work is one binary search per corner pair of ``ts``
+    and one sort of the surviving rows, with no wedge expansion.
+    """
+    n = sub.n
+    parent_index = np.fromiter(map(g.label_index.__getitem__, sub.labels), dtype=np.int64, count=n)
+    to_sub = np.full(g.n, -1, dtype=np.int64)
+    to_sub[parent_index] = np.arange(n)
+    t = to_sub[ts.triples]
+    # Every directed edge of ``sub`` as the key i*n + j, sorted (CSR order),
+    # then a sentinel past every key, so each search result is a valid index.
+    keys = np.append(np.repeat(np.arange(n, dtype=np.int64), sub.degrees) * n + sub.indices, n * n)
+    # A corner outside ``sub`` maps to -1, and a pair key with a -1 in it can
+    # equal a real edge's key, so those rows are dropped here.
+    keep = t.min(axis=1) >= 0
+    for x, y in ((0, 1), (0, 2), (1, 2)):
+        want = t[:, x] * n + t[:, y]
+        keep &= keys[np.searchsorted(keys, want)] == want
+    a, b, c = t[keep].T
+    lo = np.minimum(np.minimum(a, b), c)
+    hi = np.maximum(np.maximum(a, b), c)
+    mid = a + b + c - lo - hi
+    order = np.lexsort((hi, lo * n + mid))
+    return TriangleSet(n=n, triples=np.column_stack([lo[order], mid[order], hi[order]]))
+
+
 def _check_len(ts: TriangleSet, vec: np.ndarray, name: str) -> np.ndarray:
     vec = np.asarray(vec, dtype=np.float64)
     if vec.shape != (ts.n,):

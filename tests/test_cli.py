@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import subprocess
 import sys
 from collections import Counter
@@ -298,6 +299,59 @@ def test_config_both_spellings_agree(gpa_file, tmp_path):
     assert len(rows) == 1 + 3 + 1
     for name in ("diagnose.csv", "diagnose_metadata.json"):
         assert read(tmp_path / "sep" / name) == read(tmp_path / "eq" / name)
+
+
+def test_config_unknown_key_is_a_data_error(gpa_file, tmp_path, capsys):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"max-iter": 3}))
+    out = tmp_path / "out"
+    rc = main(["diagnose", "--input", str(gpa_file), "--config", str(cfg), "--out-dir", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "'max-iter'" in capsys.readouterr().err
+
+
+def test_config_shared_across_subcommands(gpa_file, tmp_path):
+    # "trials" is a pairwise flag, "max_iters" a diagnose flag: one file
+    # serves both commands.
+    cfg = tmp_path / "shared.json"
+    cfg.write_text(json.dumps({"max_iters": 3, "trials": 5, "methods": "pairseed"}))
+    rc = main(["diagnose", "--input", str(gpa_file), "--config", str(cfg),
+               "--out-dir", str(tmp_path / "d")])
+    assert rc == 0
+    assert len((tmp_path / "d" / "diagnose.csv").read_text().splitlines()) == 1 + 3 + 1
+    rc = main(["pairwise", "--input", str(gpa_file), "--config", str(cfg),
+               "--out-dir", str(tmp_path / "p")])
+    assert rc == 0
+    assert json.loads((tmp_path / "p" / "pairwise_metadata.json").read_text())["trials_requested"] == 5
+
+
+def test_log_level_routes_debug_messages_to_stderr(gpa_file, tmp_path, capsys):
+    path = tmp_path / "dup.tsv"
+    path.write_text(gpa_file.read_text() + "".join(gpa_file.read_text().splitlines(True)[:1]))
+    message = "build_graph removed 0 self-loop(s), 1 duplicate(s)"
+    handlers = list(logging.getLogger("trilink").handlers)
+    assert main(["triangles", str(path)]) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == ""
+    for _ in range(2):
+        assert main(["triangles", str(path), "--log-level", "debug"]) == 0
+        loud = capsys.readouterr()
+        assert loud.err.count(message) == 1
+        assert loud.out == quiet.out
+    assert logging.getLogger("trilink").handlers == handlers
+    # replay files and stdout do not depend on the level
+    outs = {}
+    for level in ("warning", "debug"):
+        out = tmp_path / level
+        assert main(["pairwise", "--input", str(path), "--trials", "4", "--methods", "pairseed,trpr",
+                     "--protocol", "loeto", "--log-level", level, "--out-dir", str(out)]) == 0
+        outs[level] = capsys.readouterr()
+    assert outs["debug"].err.count(message) == 1
+    stdout = outs["debug"].out.replace(str(tmp_path / "debug"), str(tmp_path / "warning"))
+    assert stdout == outs["warning"].out
+    for name in ("pairwise_summary.csv", "pairwise_detail.csv", "pairwise_metadata.json"):
+        assert read(tmp_path / "warning" / name) == read(tmp_path / "debug" / name)
 
 
 def test_pairwise_temporal_or_mode(tmp_path):

@@ -30,6 +30,7 @@ from trilink import (
     success_probability,
 )
 from trilink.experiments import TrialContext, _best_truth_rank
+from trilink.triangles import subgraph_triangles, triangle_edges
 
 import oracles
 
@@ -213,6 +214,76 @@ def test_splits_match_label_pair_rebuild_when_lcc_drops_nodes(couple, triangle_p
     for rseed in range(6):
         for g in (couple, triangle_pendant):
             assert_same_split(split_holdout(g, 0.5, rseed), oracles.holdout_split(g, 0.5, rseed))
+
+
+def assert_loeto_triangles_from_parent(g, ts, u, v):
+    split = split_loeto(g, (u, v))
+    got = subgraph_triangles(ts, g, split.train)
+    want = enumerate_triangles(split.train)
+    assert got.n == want.n == split.train.n
+    assert got.triples.dtype == np.int64
+    assert got.triples.flags.c_contiguous and not got.triples.flags.writeable
+    assert np.array_equal(got.triples, want.triples)
+    return split, got
+
+
+def test_loeto_triangles_from_parent_list():
+    for gseed in (2, 3, 4):
+        g = small_gpa(seed=gseed, steps=300)
+        ts = enumerate_triangles(g)
+        seeds = sorted(triangle_edges(ts))
+        rng = np.random.default_rng(gseed)
+        for i in rng.choice(len(seeds), size=8, replace=False):
+            _, got = assert_loeto_triangles_from_parent(g, ts, *seeds[i])
+            assert 0 < got.count < ts.count
+
+
+def test_loeto_triangles_from_parent_list_when_lcc_drops_nodes(couple, triangle_pendant):
+    # K4 on 1..4, plus node 5 on 4 and 6, and a triangle {6, 7, 8}: the seed
+    # edge (4, 5) holds out (4, 6) and (5, 6), which cuts the triangle
+    # {6, 7, 8} off, and the LCC step drops it.
+    k4_and_triangle = build_graph(EdgeList(tuple(
+        [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+        + [(4, 5), (5, 6), (4, 6), (6, 7), (6, 8), (7, 8)]
+    )))
+    ix = k4_and_triangle.label_index
+    split, got = assert_loeto_triangles_from_parent(
+        k4_and_triangle, enumerate_triangles(k4_and_triangle), ix[4], ix[5]
+    )
+    assert set(split.train.labels) == {1, 2, 3, 4, 5}
+    assert got.count == 4
+    for g in (couple, triangle_pendant, k4_and_triangle):
+        ts = enumerate_triangles(g)
+        sizes = [assert_loeto_triangles_from_parent(g, ts, u, v)[0].train.n
+                 for u, v in sorted(triangle_edges(ts))]
+        assert min(sizes) < g.n
+
+
+def test_loeto_derives_triangles_only_when_a_method_reads_them(monkeypatch):
+    import trilink.experiments as ex
+
+    enumerated, derived = [], []
+
+    def enumerating(graph):
+        enumerated.append(graph.n)
+        return enumerate_triangles(graph)
+
+    def deriving(ts, g, sub):
+        derived.append(sub.n)
+        return subgraph_triangles(ts, g, sub)
+
+    monkeypatch.setattr(ex, "enumerate_triangles", enumerating)
+    monkeypatch.setattr(ex, "subgraph_triangles", deriving)
+    g = small_gpa(steps=400)
+    run_pairwise_experiment(g, "loeto", ["pairseed"], trials=10, rng_seed=6)
+    assert enumerated == [g.n] and derived == []
+    enumerated.clear()
+    res = run_pairwise_experiment(g, "loeto", ["trpr", "trprw"], trials=10, rng_seed=6)
+    assert enumerated == [g.n] and len(derived) == res.metadata["trials_completed"]
+    # the reports equal those of a run that enumerates every train graph
+    monkeypatch.setattr(ex, "subgraph_triangles", lambda ts, g, sub: enumerate_triangles(sub))
+    fresh = run_pairwise_experiment(g, "loeto", ["trpr", "trprw"], trials=10, rng_seed=6)
+    assert fresh.details == res.details and fresh.metadata == res.metadata
 
 
 # --- ground truth and candidates ---------------------------------------------
@@ -586,7 +657,10 @@ def test_triangles_enumerated_once_per_train_graph(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     res = run_pairwise_experiment(g, "loeto", ["trpr", "trprw"], trials=15, rng_seed=6)
-    assert len(calls) == 1 + res.metadata["trials_completed"]
+    # loeto lists the parent's triangles once; each trial takes its own from
+    # that list.
+    assert len(calls) == 1
+    assert res.metadata["trials_completed"] == 15
 
 
 def test_context_singles_bit_equal_to_pagerank():

@@ -1,4 +1,6 @@
-"""Property tests for the identities the tensor contraction relies on.
+"""Property tests for the identities the fast paths rely on: the tensor
+contraction, the mask-built splits, the loeto triangles taken from the
+parent's list, and the O(n) rank count.
 
 Small random graphs and vectors drawn by Hypothesis; derandomized, so every
 run draws the same examples.
@@ -7,20 +9,25 @@ run draws the same examples.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from trilink import (
+    DataError,
     EdgeList,
     build_graph,
     enumerate_triangles,
     largest_connected_component,
     make_seed,
+    split_holdout,
+    split_loeto,
     tensor_bilinear,
     tensor_row_sums,
     trpr_iterates,
 )
 from trilink.diffusion import SEED_KINDS
+from trilink.experiments import _best_truth_rank
+from trilink.triangles import subgraph_triangles, triangle_edges
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -70,3 +77,89 @@ def test_trpr_iterates_stay_distributions(g, kind, weighted, data):
     for _, x, _, _ in trpr_iterates(g, ts, seed, weighted=weighted, iterations=12):
         assert (x >= 0).all()
         assert abs(x.sum() - 1.0) <= 1e-12
+
+
+@st.composite
+def loeto_cases(draw):
+    """A graph, its triangles and one of its triangle edges."""
+    g = draw(graphs())
+    ts = enumerate_triangles(g)
+    seeds = sorted(triangle_edges(ts))
+    assume(seeds)
+    return g, ts, draw(st.sampled_from(seeds))
+
+
+def label_edges(g) -> set[frozenset]:
+    return {frozenset((g.labels[u], g.labels[v])) for u, v in g.edge_array().tolist()}
+
+
+def assert_partition(g, split) -> None:
+    """The train graph's edges and the test pairs are disjoint and make up E,
+    except what the LCC step dropped: whole components, so no dropped edge
+    touches a train node."""
+    edges, train = label_edges(g), label_edges(split.train)
+    test = {frozenset(p) for p in split.test_pairs}
+    assert len(test) == len(split.test_pairs)
+    assert test <= edges and train <= edges and not train & test
+    nodes = set(split.train.labels)
+    assert all(not e & nodes for e in edges - train - test)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(loeto_cases())
+def test_loeto_triangles_from_parent_equal_fresh_enumeration(case):
+    g, ts, seed = case
+    train = split_loeto(g, seed).train
+    got, want = subgraph_triangles(ts, g, train), enumerate_triangles(train)
+    assert got.n == want.n
+    assert got.triples.dtype == np.int64 and got.triples.flags.c_contiguous
+    assert np.array_equal(got.triples, want.triples)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(graphs(), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 2**32 - 1))
+def test_holdout_train_and_test_partition_the_edges(g, fraction, seed):
+    try:
+        split = split_holdout(g, fraction, seed)
+    except DataError:  # nothing left to train on, or a train LCC below 3 nodes
+        reject()
+    assert len(split.test_pairs) == max(1, round(fraction * g.m))
+    assert_partition(g, split)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(loeto_cases())
+def test_loeto_holds_out_exactly_the_wedge_edges(case):
+    g, _, (u, v) = case
+    lab = g.labels
+    wedge = set(g.neighbors(u).tolist()) & set(g.neighbors(v).tolist())
+    held = {frozenset((lab[x], lab[w])) for x in (u, v) for w in wedge}
+    split = split_loeto(g, (u, v))
+    assert {frozenset(p) for p in split.test_pairs} == held
+    assert_partition(g, split)
+
+
+def lexsort_rank(values, candidates, truth) -> int:
+    """Rank of the best truth node by a full sort: score descending, then
+    node index ascending."""
+    order = candidates[np.lexsort((candidates, -values[candidates]))].tolist()
+    return next((r for r, c in enumerate(order, 1) if c in truth), -1)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_best_truth_rank_equals_lexsort_rank(data):
+    # Few distinct scores (with -0.0 == 0.0) force ties; a node permutation
+    # moves which tied node has the lower index.
+    n = data.draw(st.integers(1, 12))
+    values = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300]),
+                                         min_size=n, max_size=n)))
+    candidates = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))), dtype=np.int64)
+    truth = data.draw(st.frozensets(st.integers(0, n - 1)))
+    perm = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+    moved = np.empty(n)
+    moved[perm] = values
+    for vals, cands, tr in ((values, candidates, truth),
+                            (moved, perm[candidates], frozenset(perm[list(truth)].tolist()))):
+        for order in (np.sort(cands), cands):
+            assert _best_truth_rank(vals, order, tr) == lexsort_rank(vals, order, tr)

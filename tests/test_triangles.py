@@ -15,7 +15,7 @@ from trilink import (
     tensor_row_sums,
 )
 from trilink import triangles as triangles_mod
-from trilink.triangles import triangle_edges
+from trilink.triangles import subgraph_triangles, triangle_edges
 
 import oracles
 
@@ -128,6 +128,19 @@ def test_triangle_edges_match_triples():
         got = triangle_edges(enumerate_triangles(g))
         assert got == want
         assert all(type(u) is int and type(v) is int for u, v in got)
+
+
+def test_subgraph_triangles_drop_rows_with_a_corner_outside_the_subgraph():
+    # Nodes 2 and 3 are not in the subgraph. The parent triangle (3, 4, 6)
+    # keeps the edge (4, 6), and with n = 5 the key of the pair (x, missing)
+    # is x*n - 1, which is also the key of the real edge (x - 1, n - 1): only
+    # the corner check drops the row.
+    g = build_graph(EdgeList(((0, 1), (1, 4), (1, 5), (4, 5), (4, 6), (4, 3), (5, 6), (2, 6), (6, 3))))
+    sub = build_graph(EdgeList(((0, 1), (1, 5), (4, 5), (4, 6), (5, 6))))
+    got = subgraph_triangles(enumerate_triangles(g), g, sub)
+    assert got.n == sub.n
+    assert np.array_equal(got.triples, enumerate_triangles(sub).triples)
+    assert [sorted(sub.labels[i] for i in row) for row in got.triples.tolist()] == [[4, 5, 6]]
 
 
 def test_bilinear_single_triangle_ones():
