@@ -193,7 +193,6 @@ def cmd_pairwise(args) -> int:
         candidate_rule=args.candidate_rule,
         params=params,
         rng_seed=args.seed,
-        threads=args.threads,
         allow_empty_truth=args.allow_empty_truth,
     )
     paths = write_pairwise_reports(result, args.out_dir)
@@ -214,7 +213,6 @@ def cmd_linkpred(args) -> int:
         methods=_csv_strs(args.methods),
         params=params,
         rng_seed=args.seed,
-        threads=args.threads,
     )
     paths = write_linkpred_reports(result, args.out_dir)
     for row in result.summary:
@@ -349,10 +347,23 @@ def _config_path(argv: list[str]) -> str | None:
     return path
 
 
-def _apply_config(parser: _Parser, argv: list[str]) -> None:
+def _long_flags(sp: argparse.ArgumentParser) -> dict[str, tuple[str, argparse.Action]]:
+    """Each ``--flag`` of a parser, keyed with ``_`` for ``-``."""
+    return {
+        opt[2:].replace("-", "_"): (opt, action)
+        for action in sp._actions
+        for opt in action.option_strings
+        if opt.startswith("--")
+    }
+
+
+def _config_argv(parser: _Parser, argv: list[str]) -> list[str]:
+    """``argv`` with the ``--config`` file's values spelled out as flags of
+    the chosen subcommand, ahead of the user's flags so those still win, and
+    so argparse checks config values as it checks typed ones."""
     path = _config_path(argv)
-    if path is None:
-        return
+    if path is None or not argv or argv[0] not in parser.subcommands:
+        return argv
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -362,27 +373,32 @@ def _apply_config(parser: _Parser, argv: list[str]) -> None:
         raise DataError(f"config {path} must hold a JSON object")
     # One config may serve several subcommands, so a key only has to name a
     # long flag of one of them; anything else is a typo.
-    flags = {
-        opt[2:].replace("-", "_")
-        for sp in parser.subcommands.values()
-        for action in sp._actions
-        for opt in action.option_strings
-        if opt.startswith("--")
-    }
-    defaults = {key.replace("-", "_"): val for key, val in cfg.items()}
-    for key in cfg:
-        if key.replace("-", "_") not in flags:
+    known = set().union(*(_long_flags(sp) for sp in parser.subcommands.values()))
+    sp = parser.subcommands[argv[0]]
+    own = _long_flags(sp)
+    tokens = []
+    for key, val in cfg.items():
+        name = key.replace("-", "_")
+        if name not in known:
             raise DataError(f"config {path}: {key!r} names no flag of any subcommand")
-    for sp in parser.subcommands.values():
-        sp.set_defaults(**defaults)
+        if name not in own or val is None:
+            continue
+        opt, action = own[name]
+        switch = action.nargs == 0  # store_true: true sets it, false leaves it off
+        if switch and isinstance(val, bool):
+            tokens += [opt] if val else []
+        elif not switch and isinstance(val, (str, int, float)) and not isinstance(val, bool):
+            tokens.append(f"{opt}={val}")
+        else:
+            sp.error(f"config {path}: {key!r} cannot be {json.dumps(val)}")
+    return [argv[0], *tokens, *argv[1:]]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_config_argv(parser, argv))
         with _log_to_stderr(args.log_level):
             return args.fn(args)
     except SystemExit as exc:

@@ -123,9 +123,11 @@ def _walk_degrees(g: Graph) -> np.ndarray:
 def pagerank(g: Graph, seed: SeedVector, params: DiffusionParams = DiffusionParams()) -> ScoreVector:
     """Seeded PageRank by power iteration.
 
-    Stops once the L1 residual of the fixed-point equation drops below the
-    tolerance (default 1e-15 * n, effectively machine precision), with an
-    iteration cap of 1e6 / (1 - alpha).
+    Returns the iterate of the first step whose L1 size is within the
+    tolerance (default 1e-15 * n, effectively machine precision), or that is
+    no smaller than the step before it: the steps shrink by a factor alpha
+    or more in exact arithmetic, so one that does not has hit the rounding
+    floor. At most ceil(log(tol / 2) / log(alpha)) steps are taken.
     """
     x = _pagerank_columns(g, seed.dense(g.n)[:, None], params)[:, 0]
     return ScoreVector(x, "pagerank")
@@ -137,10 +139,9 @@ def pagerank_many(
     """Solve one PageRank system per column of ``seeds`` (n x k), sharing the
     sparse matrix sweeps across columns.
 
-    Columns are solved in blocks of 64. A block stops once the largest L1
-    step among its columns is within the tolerance, so every column meets
-    the same residual bound as its own :func:`pagerank` call; columns that
-    settle early keep stepping with the rest of their block.
+    Columns are solved in blocks of 64, and each column stops by the rule of
+    :func:`pagerank` on its own steps, so every column is bit-equal to its
+    own :func:`pagerank` call.
     """
     seeds = np.asarray(seeds, dtype=np.float64)
     if seeds.shape[0] != g.n:
@@ -150,41 +151,50 @@ def pagerank_many(
 
 def _pagerank_columns(g: Graph, s: np.ndarray, params: DiffusionParams) -> np.ndarray:
     # Power steps x <- A (x * alpha/deg) + (1 - alpha) s over blocks of
-    # _BLOCK columns; a block stops once its largest column L1 step is <= tol.
+    # _BLOCK columns; each column stops on its own steps by the rule that
+    # :func:`pagerank` states (in exact arithmetic step k <= 2 alpha^k).
     a = g.adjacency
     scale = (params.alpha / _walk_degrees(g))[:, None]
     tol = params.tolerance if params.tolerance is not None else 1e-15 * g.n
-    cap = math.ceil(1e6 / (1.0 - params.alpha))
+    steps = max(1, math.ceil((math.log(tol) - math.log(2.0)) / math.log(params.alpha)))
+    # A block adds up each column's step in another order than a lone solve
+    # does; two sums of n terms differ by at most 2n unit roundoffs, well
+    # inside `margin`. So a column whose block sum comes within `margin` of
+    # stopping is decided on its own sums, added in the lone order.
+    margin = 4 * (g.n + 64) * np.finfo(np.float64).eps
     out = np.empty_like(s)
     for lo in range(0, s.shape[1], _BLOCK):
-        block = s[:, lo : lo + _BLOCK]
+        x = s[:, lo : lo + _BLOCK].copy()
         # Seeds are sparse, so the teleport term goes to their nonzeros only.
-        rows, cols = np.nonzero(block)
-        teleport = (1.0 - params.alpha) * block[rows, cols]
-        x = block.copy()
-        best = np.inf
-        stale = 0
-        for _ in range(cap):
+        hot = np.flatnonzero(x)
+        teleport = (1.0 - params.alpha) * x.reshape(-1)[hot]
+        before = None
+        floor = np.full(x.shape[1], np.inf)
+        last = np.empty(x.shape[1])
+        live = np.ones(x.shape[1], dtype=bool)
+        for k in range(steps):
             x_next = a @ (x * scale)
-            x_next[rows, cols] += teleport
+            x_next.reshape(-1)[hot] += teleport
             step = x_next - x
-            delta = np.abs(step, out=step).sum(axis=0).max()
+            delta = np.abs(step, out=step).sum(axis=0)
             x = x_next
-            if delta <= tol:
-                break
-            # Rounding can floor the residual above a very tight tolerance;
-            # once the step size stops setting new lows we are at that floor.
-            if delta < best:
-                best = delta
-                stale = 0
-            else:
-                stale += 1
-                if stale >= 50:
-                    log.debug("pagerank residual floored at %.3g (tolerance %.3g)", delta, tol)
+            near = (delta <= tol * (1.0 + margin)) | (delta >= floor)
+            if near.any():
+                for j in np.flatnonzero(near & live):
+                    d = step[:, j].sum()
+                    if d <= tol or (k and d >= before[:, j].sum()):
+                        out[:, lo + j] = x[:, j]
+                        last[j] = d
+                        live[j] = False
+                if not live.any():
                     break
+            floor = delta * (1.0 - margin)
+            before = step
         else:
-            log.warning("pagerank hit the iteration cap before tolerance %.3g", tol)
-        out[:, lo : lo + _BLOCK] = x
+            out[:, lo + np.flatnonzero(live)] = x[:, live]
+            last[live] = delta[live]
+        for d in last[last > tol]:
+            log.debug("pagerank residual floored at %.3g (tolerance %.3g)", d, tol)
     return out
 
 

@@ -311,6 +311,31 @@ def test_config_unknown_key_is_a_data_error(gpa_file, tmp_path, capsys):
     assert "'max-iter'" in capsys.readouterr().err
 
 
+def test_config_values_checked_like_flags(gpa_file, tmp_path, capsys):
+    # A bad config value is a usage error, as the same value on the command
+    # line would be, and nothing is written.
+    cases = [
+        ("pairwise", {"protocol": "bogus"}),
+        ("diagnose", {"weighted": "yes"}),
+        ("diagnose", {"log-level": "loud"}),
+        ("diagnose", {"alpha": True}),
+    ]
+    for i, (command, values) in enumerate(cases):
+        cfg = tmp_path / f"bad{i}.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / f"out{i}"
+        rc = main([command, "--input", str(gpa_file), "--config", str(cfg), "--out-dir", str(out)])
+        assert rc == 1, values
+        assert not out.exists()
+        assert "error" in capsys.readouterr().err
+    # A true store_true value sets the flag.
+    cfg = tmp_path / "weighted.json"
+    cfg.write_text(json.dumps({"weighted": True, "max-iters": 2}))
+    assert main(["diagnose", "--input", str(gpa_file), "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "w")]) == 0
+    assert json.loads((tmp_path / "w" / "diagnose_metadata.json").read_text())["weighted"] is True
+
+
 def test_config_shared_across_subcommands(gpa_file, tmp_path):
     # "trials" is a pairwise flag, "max_iters" a diagnose flag: one file
     # serves both commands.

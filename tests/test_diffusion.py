@@ -179,6 +179,76 @@ def test_pagerank_many_blocks_match_single_solves():
         assert np.abs(fixed_point - x).sum() <= tol
 
 
+def test_pagerank_many_columns_bit_equal_to_lone_solves():
+    # Each column stops on its own steps, so solving it in a batch changes
+    # no bit: 150 single, pair and star columns span three 64-column blocks.
+    g = largest_connected_component(generate_gpa(GpaParams(p_edge=0.5, steps=600, rng_seed=3)))
+    kinds = ("single", "pair", "star")
+    seeds = []
+    for c in range(150):
+        u = c % g.n
+        v = int(g.neighbors(u)[0])
+        seeds.append(make_seed(g, kinds[c % 3], u, v if kinds[c % 3] == "pair" else None))
+    sols = pagerank_many(g, np.column_stack([seed.dense(g.n) for seed in seeds]))
+    for c, seed in enumerate(seeds):
+        assert np.array_equal(sols[:, c], pagerank(g, seed).values), c
+
+
+def test_pagerank_column_ignores_its_companions():
+    # On this graph a single seed on node 9 stops after 82 steps and one on
+    # node 238 after 109. The degree distribution is the walk's fixed point,
+    # so its column stops after one.
+    g = largest_connected_component(generate_gpa(GpaParams(p_edge=0.5, steps=600, rng_seed=3)))
+    x = make_seed(g, "single", 9).dense(g.n)
+    fast = g.degrees / g.degrees.sum()
+    slow = make_seed(g, "single", 238).dense(g.n)
+    alone = pagerank(g, SeedVector({9: 1.0})).values
+    for other in (fast, slow):
+        assert np.array_equal(pagerank_many(g, np.column_stack([x, other]))[:, 0], alone)
+        assert np.array_equal(pagerank_many(g, np.column_stack([other, x]))[:, 1], alone)
+
+
+def test_pagerank_many_stops_where_the_lone_sum_says():
+    # numpy adds a column of an n x B block row by row, and a lone column
+    # pairwise, so the two L1 sums of one step can differ in the last bit.
+    # With the tolerance between them, the batch must still stop where the
+    # lone solve stops.
+    g = largest_connected_component(generate_gpa(GpaParams(p_edge=0.5, steps=600, rng_seed=3)))
+    s = make_seed(g, "single", 9).dense(g.n)[:, None]
+    scale = (0.85 / g.degrees)[:, None]
+    x = s
+    for _ in range(200):
+        x_next = g.adjacency @ (x * scale)
+        x_next[9] += 1.0 - 0.85
+        step = np.abs(x_next - x)
+        lone, in_block = step.sum(axis=0)[0], np.column_stack([step, step]).sum(axis=0)[0]
+        if lone != in_block:
+            break
+        x = x_next
+    else:
+        pytest.skip("the two summation orders agree on every step here")
+    params = DiffusionParams(tolerance=min(lone, in_block))
+    alone = pagerank(g, SeedVector({9: 1.0}), params).values
+    assert np.array_equal(pagerank_many(g, np.column_stack([s, s]), params)[:, 0], alone)
+
+
+def test_pagerank_tight_tolerance_stops_at_the_rounding_floor(caplog):
+    # No step can reach 1e-300, so every column stops where rounding floors
+    # its step, and says so once at debug level.
+    g = largest_connected_component(generate_gpa(GpaParams(p_edge=0.5, steps=600, rng_seed=3)))
+    deg = g.degrees.astype(float)
+    for alpha in (0.85, 0.99):
+        params = DiffusionParams(alpha=alpha, tolerance=1e-300)
+        seed = make_seed(g, "pair", 0, int(g.neighbors(0)[0]))
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="trilink"):
+            x = pagerank(g, seed, params).values
+        floored = [r for r in caplog.records if "floored" in r.getMessage()]
+        assert len(floored) == 1
+        fixed_point = (1 - alpha) * seed.dense(g.n) + alpha * (g.adjacency @ (x / deg))
+        assert np.abs(fixed_point - x).sum() <= 1e-14
+
+
 def test_pair_seed_linearity(couple):
     for u, v in couple.edge_array():
         u, v = int(u), int(v)

@@ -462,8 +462,8 @@ def test_pairwise_schema_and_monotonicity():
 def test_pairwise_deterministic_and_thread_independent():
     g = small_gpa(steps=300)
     kw = dict(k_values=(5, 25), trials=20, rng_seed=77)
-    a = run_pairwise_experiment(g, "holdout", ["pairseed", "trpr"], threads=1, **kw)
-    b = run_pairwise_experiment(g, "holdout", ["pairseed", "trpr"], threads=4, **kw)
+    a = run_pairwise_experiment(g, "holdout", ["pairseed", "trpr"], **kw)
+    b = run_pairwise_experiment(g, "holdout", ["pairseed", "trpr"], **kw)
     assert a.summary == b.summary
     assert a.details == b.details
     assert a.metadata["trial_digests"] == b.metadata["trial_digests"]
@@ -570,8 +570,8 @@ def test_linkpred_rows_and_cohort_shrink():
 
 def test_linkpred_thread_independent():
     g = small_gpa(steps=300)
-    a = run_standard_linkpred(g, num_nodes=8, rng_seed=11, threads=1)
-    b = run_standard_linkpred(g, num_nodes=8, rng_seed=11, threads=4)
+    a = run_standard_linkpred(g, num_nodes=8, rng_seed=11)
+    b = run_standard_linkpred(g, num_nodes=8, rng_seed=11)
     assert a.nodes == b.nodes
     assert a.summary == b.summary
 
@@ -640,6 +640,36 @@ def test_pairseed_rows_independent_of_other_methods(protocol, monkeypatch):
         x_u = pagerank(train, make_seed(train, "single", u)).values
         x_v = pagerank(train, make_seed(train, "single", v)).values
         assert np.array_equal(vals, (x_u + x_v) / 2.0)
+
+
+def test_pairseed_bits_independent_of_how_singles_were_requested(monkeypatch):
+    # A custom method that asks for both endpoints in one call, ahead of
+    # pairseed, must not change pairseed's vectors.
+    import trilink.experiments as ex
+
+    scored: dict[str, list] = {"alone": [], "after": []}
+    pairseed = ex.PAIRWISE_METHODS["pairseed"]
+    g = small_gpa(steps=3000)
+    kw = dict(k_values=(5,), trials=30, rng_seed=4)
+
+    def both_endpoints(ctx):
+        vecs = ctx.singles([ctx.u, ctx.v])
+        return vecs[ctx.u] + vecs[ctx.v]
+
+    def recording(tag):
+        def fn(ctx):
+            vals = pairseed(ctx)
+            scored[tag].append(vals)
+            return vals
+
+        return fn
+
+    for tag, methods in (("alone", ["pairseed"]), ("after", [("both", both_endpoints), "pairseed"])):
+        monkeypatch.setitem(ex.PAIRWISE_METHODS, "pairseed", recording(tag))
+        run_pairwise_experiment(g, "holdout", methods, **kw)
+    assert len(scored["alone"]) == len(scored["after"]) == 30
+    for a, b in zip(scored["alone"], scored["after"]):
+        assert np.array_equal(a, b)
 
 
 def test_triangles_enumerated_once_per_train_graph(monkeypatch):

@@ -1,12 +1,15 @@
 """Property tests for the identities the fast paths rely on: the tensor
 contraction, the mask-built splits, the loeto triangles taken from the
-parent's list, and the O(n) rank count.
+parent's list, the O(n) rank count, pair-seed linearity, and edge-list
+labels surviving a round trip through a graph.
 
 Small random graphs and vectors drawn by Hypothesis; derandomized, so every
 run draws the same examples.
 """
 
 from __future__ import annotations
+
+import io
 
 import numpy as np
 from hypothesis import assume, given, reject, settings, strategies as st
@@ -18,11 +21,15 @@ from trilink import (
     build_graph,
     enumerate_triangles,
     largest_connected_component,
+    load_edge_list,
     make_seed,
+    pair_seeded_pagerank,
+    single_seeded_pagerank,
     split_holdout,
     split_loeto,
     tensor_bilinear,
     tensor_row_sums,
+    to_edge_list,
     trpr_iterates,
 )
 from trilink.diffusion import SEED_KINDS
@@ -163,3 +170,34 @@ def test_best_truth_rank_equals_lexsort_rank(data):
                             (moved, perm[candidates], frozenset(perm[list(truth)].tolist()))):
         for order in (np.sort(cands), cands):
             assert _best_truth_rank(vals, order, tr) == lexsort_rank(vals, order, tr)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(graphs(), st.data())
+def test_pair_seed_is_the_mean_of_its_single_seeds(g, data):
+    u = data.draw(st.integers(0, g.n - 1))
+    v = data.draw(st.integers(0, g.n - 1).filter(lambda w: w != u))
+    pair = pair_seeded_pagerank(g, u, v).values
+    mean = (single_seeded_pagerank(g, u).values + single_seeded_pagerank(g, v).values) / 2.0
+    assert np.abs(pair - mean).max() <= 1e-12
+
+
+# int() reads 1, 01 and +1 as one number, and 10 and 1_0 as another; each must
+# stay its own label.
+TOKENS = ("0", "1", "01", "-1", "1_0", "10", "+1", "a")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(TOKENS), st.sampled_from(TOKENS)), min_size=1, max_size=20))
+def test_edge_list_labels_round_trip_through_a_graph(pairs):
+    want = {frozenset(p) for p in pairs if p[0] != p[1]}
+    assume(want)
+    g = build_graph(load_edge_list(io.StringIO("".join(f"{u} {v}\n" for u, v in pairs))))
+    edges = to_edge_list(g).pairs
+    assert len(edges) == len(want)
+    assert {frozenset(map(str, p)) for p in edges} == want
+    assert sorted(map(str, g.labels)) == sorted(set().union(*want))
+    # Written out and read back, every label keeps its type and value.
+    text = "".join(f"{u} {v}\n" for u, v in edges)
+    again = to_edge_list(build_graph(load_edge_list(io.StringIO(text)))).pairs
+    assert {frozenset(p) for p in again} == {frozenset(p) for p in edges}
