@@ -531,6 +531,15 @@ def _method_output(name: str, values, n: int) -> np.ndarray:
     return values
 
 
+def _check_unique(items: Sequence, what: str) -> None:
+    """Reject an empty ``items`` or one that names something twice."""
+    if not items:
+        raise ValueError(f"no {what} given")
+    for i, x in enumerate(items):
+        if x in items[:i]:
+            raise ValueError(f"{what} {x!r} given twice")
+
+
 def _resolve_methods(methods, registry: dict[str, Method]) -> list[tuple[str, Method]]:
     out = []
     for m in methods:
@@ -541,6 +550,7 @@ def _resolve_methods(methods, registry: dict[str, Method]) -> list[tuple[str, Me
         else:
             name, fn = m
             out.append((name, fn))
+    _check_unique([name for name, _ in out], "method")
     return out
 
 
@@ -613,6 +623,7 @@ def run_pairwise_experiment(
         raise ValueError(f"unknown protocol {protocol!r}")
     named = _resolve_methods(methods, PAIRWISE_METHODS)
     k_values = tuple(int(k) for k in k_values)
+    _check_unique(k_values, "k value")
     base_policy = EvalPolicy(k=min(k_values), truth_mode=truth_mode, candidate_rule=candidate_rule)
     root = np.random.SeedSequence(rng_seed)
     children = root.spawn(trials + 1)
@@ -765,8 +776,10 @@ def run_standard_linkpred(
     diagonal of the method-vs-baseline AUC scatter. Cohort nodes are scored
     in order.
     """
+    if num_nodes < 1:
+        raise ValueError("num_nodes must be >= 1")
     named = _resolve_methods(methods, LINKPRED_METHODS)
-    if LINKPRED_BASELINE not in methods:
+    if LINKPRED_BASELINE not in (name for name, _ in named):
         named.insert(0, (LINKPRED_BASELINE, LINKPRED_METHODS[LINKPRED_BASELINE]))
 
     root = np.random.SeedSequence(rng_seed)

@@ -262,18 +262,6 @@ def write_edge_list(path, edges: EdgeList | Graph) -> None:
                 fh.write(f"{u} {v} {t}\n")
 
 
-def subgraph(g: Graph, nodes: np.ndarray) -> Graph:
-    """Induced subgraph on sorted dense ``nodes``, densely re-indexed."""
-    nodes = np.asarray(nodes, dtype=np.int64)
-    a = g.adjacency[nodes][:, nodes].tocsr()
-    a.sort_indices()
-    return Graph(
-        indptr=a.indptr.astype(np.int64),
-        indices=a.indices.astype(np.int64),
-        labels=tuple(g.labels[i] for i in nodes),
-    )
-
-
 def largest_connected_component(g: Graph) -> Graph:
     """Induced subgraph on the largest component (ties: smallest member
     index wins), re-indexed with the original labels carried along."""
@@ -285,7 +273,14 @@ def largest_connected_component(g: Graph) -> Graph:
     # smallest dense index.
     comp_ids, first = np.unique(comp, return_index=True)
     best = comp_ids[np.lexsort((first[comp_ids], -sizes[comp_ids]))[0]]
-    return subgraph(g, np.flatnonzero(comp == best))
+    # A whole component keeps every neighbor of its nodes, so its CSR is the
+    # parent's kept rows, relabeled in order; the rows stay sorted.
+    keep = comp == best
+    indptr = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
+    np.cumsum(g.degrees[keep], out=indptr[1:])
+    indices = (np.cumsum(keep) - 1)[g.indices[np.repeat(keep, g.degrees)]]
+    labels = tuple(g.labels[i] for i in np.flatnonzero(keep).tolist())
+    return Graph(indptr=indptr, indices=indices, labels=labels)
 
 
 def edge_neighborhood(g: Graph, u: int, v: int) -> np.ndarray:

@@ -5,18 +5,19 @@ Adamic-Adar with natural log, degree product). The edge-node variants swap
 one neighborhood for the edge neighborhood (union of the endpoints'
 neighborhoods minus the endpoints), and MAX/MUL combine the two endpoint
 scores instead.
+
+Every score is computed in one place, :func:`_set_scores`, which scores all
+nodes at once with sparse products. Each single-node function reads one
+entry of such an all-node vector, so a call costs O(n + m); callers that
+rank many nodes should use :func:`score_all_nodes`.
 """
 
 from __future__ import annotations
-
-import logging
 
 import numpy as np
 
 from .diffusion import ScoreVector
 from .graph import Graph, edge_neighborhood
-
-log = logging.getLogger("trilink")
 
 LOCAL_METHODS = ("js", "aa", "pa", "js-max", "js-mul", "aa-max", "aa-mul")
 
@@ -26,93 +27,81 @@ def _check_distinct(w: int, *others: int) -> None:
         raise ValueError(f"node {w} coincides with a seed endpoint")
 
 
-def _aa_sum(g: Graph, common: np.ndarray) -> float:
-    degs = g.degrees[common]
-    ok = degs >= 2
-    if not ok.all():
-        # 1/log(1) diverges; such a common neighbor contributes nothing.
-        log.debug("adamic-adar: %d degree-1 common neighbor(s) ignored", int((~ok).sum()))
-    return float((1.0 / np.log(degs[ok])).sum())
-
-
-def js_node(g: Graph, w: int, u: int) -> float:
-    _check_distinct(w, u)
-    nw, nu = g.neighbors(w), g.neighbors(u)
-    inter = len(np.intersect1d(nw, nu, assume_unique=True))
-    union = len(nw) + len(nu) - inter
-    return inter / union if union else 0.0
-
-
-def aa_node(g: Graph, w: int, u: int) -> float:
-    _check_distinct(w, u)
-    common = np.intersect1d(g.neighbors(w), g.neighbors(u), assume_unique=True)
-    return _aa_sum(g, common)
-
-
-def pa_node(g: Graph, w: int, u: int) -> float:
-    _check_distinct(w, u)
-    return float(g.degree(w) * g.degree(u))
-
-
-def js_edge(g: Graph, w: int, edge: tuple[int, int]) -> float:
-    u, v = edge
-    _check_distinct(w, u, v)
-    nw = g.neighbors(w)
-    s = edge_neighborhood(g, u, v)
-    inter = len(np.intersect1d(nw, s, assume_unique=True))
-    union = len(nw) + len(s) - inter
-    return inter / union if union else 0.0
-
-
-def aa_edge(g: Graph, w: int, edge: tuple[int, int]) -> float:
-    u, v = edge
-    _check_distinct(w, u, v)
-    common = np.intersect1d(g.neighbors(w), edge_neighborhood(g, u, v), assume_unique=True)
-    return _aa_sum(g, common)
-
-
-def pa_edge(g: Graph, w: int, edge: tuple[int, int]) -> float:
-    u, v = edge
-    _check_distinct(w, u, v)
-    return float(g.degree(w) * len(edge_neighborhood(g, u, v)))
-
-
-def local_combined(g: Graph, w: int, edge: tuple[int, int], base: str, mode: str) -> float:
-    """MAX or MUL of the node-node ``base`` score against both endpoints."""
-    u, v = edge
-    _check_distinct(w, u, v)
-    fn = {"js": js_node, "aa": aa_node}.get(base.lower())
-    if fn is None:
-        raise ValueError(f"base must be 'js' or 'aa', got {base!r}")
-    a, b = fn(g, w, u), fn(g, w, v)
-    m = mode.lower()
-    if m == "max":
-        return max(a, b)
-    if m == "mul":
-        return a * b
-    raise ValueError(f"mode must be 'max' or 'mul', got {mode!r}")
-
-
 def _aa_weights(g: Graph) -> np.ndarray:
     deg = g.degrees.astype(np.float64)
     w = np.zeros_like(deg)
+    # 1/log(1) diverges; weight 0 keeps 0 * inf from putting NaN on a
+    # degree-1 node's neighbor. A degree-1 node is a common neighbor of no
+    # two distinct nodes, so no score loses a term.
     ok = deg >= 2
     w[ok] = 1.0 / np.log(deg[ok])
     return w
 
 
-def _indicator(n: int, idx: np.ndarray) -> np.ndarray:
-    out = np.zeros(n)
-    out[idx] = 1.0
-    return out
+def _set_scores(g: Graph, s: np.ndarray, base: str) -> np.ndarray:
+    """Score every node's neighborhood against the node set ``s``: Jaccard
+    ("js"), Adamic-Adar over the common members ("aa"), or degree * |s|
+    ("pa")."""
+    deg = g.degrees.astype(np.float64)
+    if base == "pa":
+        return deg * float(len(s))
+    ind = np.zeros(g.n)
+    ind[s] = 1.0
+    if base == "js":
+        inter = g.adjacency @ ind
+        union = deg + len(s) - inter
+        return np.divide(inter, union, out=np.zeros(g.n), where=union > 0)
+    return g.adjacency @ (ind * _aa_weights(g))
+
+
+def _node_entry(g: Graph, w: int, u: int, base: str) -> float:
+    _check_distinct(w, u)
+    g._check_node(w)
+    return float(_set_scores(g, g.neighbors(u), base)[w])
+
+
+def _edge_entry(g: Graph, w: int, edge: tuple[int, int], method: str) -> float:
+    _check_distinct(w, *edge)
+    g._check_node(w)
+    return float(score_all_nodes(g, edge, method).values[w])
+
+
+def js_node(g: Graph, w: int, u: int) -> float:
+    return _node_entry(g, w, u, "js")
+
+
+def aa_node(g: Graph, w: int, u: int) -> float:
+    return _node_entry(g, w, u, "aa")
+
+
+def pa_node(g: Graph, w: int, u: int) -> float:
+    return _node_entry(g, w, u, "pa")
+
+
+def js_edge(g: Graph, w: int, edge: tuple[int, int]) -> float:
+    return _edge_entry(g, w, edge, "js")
+
+
+def aa_edge(g: Graph, w: int, edge: tuple[int, int]) -> float:
+    return _edge_entry(g, w, edge, "aa")
+
+
+def pa_edge(g: Graph, w: int, edge: tuple[int, int]) -> float:
+    return _edge_entry(g, w, edge, "pa")
+
+
+def local_combined(g: Graph, w: int, edge: tuple[int, int], base: str, mode: str) -> float:
+    """MAX or MUL (``mode``) of the node-node ``base`` score ('js' or 'aa')
+    against both endpoints."""
+    return _edge_entry(g, w, edge, f"{base}-{mode}")
 
 
 def score_all_nodes(g: Graph, edge: tuple[int, int], method: str) -> ScoreVector:
     """Score every node against ``edge`` with one local method.
 
-    Entries at the endpoints are -inf so they can never be ranked. The bulk
-    computation runs as a few sparse matrix-vector products; it matches the
-    per-node scalar functions above.
+    Entries at the endpoints are -inf so they can never be ranked. The edge
+    variants score against the edge neighborhood; MAX/MUL score against each
+    endpoint's neighbors and combine the two vectors.
     """
     u, v = edge
     if u == v:
@@ -120,35 +109,12 @@ def score_all_nodes(g: Graph, edge: tuple[int, int], method: str) -> ScoreVector
     g._check_node(u)
     g._check_node(v)
     method = method.lower()
-    a = g.adjacency
-    deg = g.degrees.astype(np.float64)
     if method in ("js", "aa", "pa"):
-        s = edge_neighborhood(g, u, v)
-        ind = _indicator(g.n, s)
-        if method == "js":
-            inter = a @ ind
-            union = deg + len(s) - inter
-            vals = np.divide(inter, union, out=np.zeros(g.n), where=union > 0)
-        elif method == "aa":
-            vals = a @ (ind * _aa_weights(g))
-        else:
-            vals = deg * float(len(s))
+        vals = _set_scores(g, edge_neighborhood(g, u, v), method)
     elif method in ("js-max", "js-mul", "aa-max", "aa-mul"):
         base, mode = method.split("-")
-        per_endpoint = []
-        for t in (u, v):
-            ind = _indicator(g.n, g.neighbors(t))
-            if base == "js":
-                inter = a @ ind
-                union = deg + deg[t] - inter
-                per_endpoint.append(np.divide(inter, union, out=np.zeros(g.n), where=union > 0))
-            else:
-                per_endpoint.append(a @ (ind * _aa_weights(g)))
-        vals = (
-            np.maximum(per_endpoint[0], per_endpoint[1])
-            if mode == "max"
-            else per_endpoint[0] * per_endpoint[1]
-        )
+        a, b = (_set_scores(g, g.neighbors(t), base) for t in (u, v))
+        vals = np.maximum(a, b) if mode == "max" else a * b
     else:
         raise ValueError(f"unknown local method {method!r}; expected one of {LOCAL_METHODS}")
     vals[u] = vals[v] = -np.inf

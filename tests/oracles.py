@@ -288,3 +288,24 @@ def bfs_nodes(g: Graph, start: int) -> set[int]:
                     nxt.append(j)
         frontier = nxt
     return seen
+
+
+def largest_component_slice(g: Graph) -> Graph:
+    """The largest BFS component (ties: the one holding the smallest index),
+    induced by slicing the scipy adjacency twice and re-indexed in order."""
+    best: set[int] = set()
+    seen: set[int] = set()
+    for i in range(g.n):
+        if i not in seen:
+            comp = bfs_nodes(g, i)
+            seen |= comp
+            if len(comp) > len(best):
+                best = comp
+    nodes = np.array(sorted(best), dtype=np.int64)
+    a = g.adjacency[nodes][:, nodes].tocsr()
+    a.sort_indices()
+    return Graph(
+        indptr=a.indptr.astype(np.int64),
+        indices=a.indices.astype(np.int64),
+        labels=tuple(g.labels[i] for i in nodes),
+    )

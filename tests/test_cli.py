@@ -269,6 +269,23 @@ def test_exit_codes(tmp_path, gpa_file):
         assert not out.exists()
 
 
+
+@pytest.mark.parametrize("argv, offender", [
+    (["linkpred", "--num-nodes", "0"], "num_nodes"),
+    (["linkpred", "--num-nodes", "-3"], "num_nodes"),
+    (["linkpred", "--methods", "single,single"], "'single' given twice"),
+    (["linkpred", "--methods", ","], "no method"),
+    (["pairwise", "--trials", "3", "--methods", "pairseed,pairseed"], "'pairseed' given twice"),
+    (["pairwise", "--trials", "3", "--methods", ","], "no method"),
+    (["pairwise", "--trials", "3", "--k", "5,5"], "k value 5 given twice"),
+    (["pairwise", "--trials", "3", "--k", ","], "no k value"),
+])
+def test_bad_cohort_methods_and_k_values_write_nothing(gpa_file, tmp_path, capsys, argv, offender):
+    out = tmp_path / "out"
+    assert main([*argv, "--input", str(gpa_file), "--out-dir", str(out)]) == 3
+    assert not out.exists()
+    assert offender in capsys.readouterr().err
+
 def test_config_file_defaults_and_override(gpa_file, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trials": 4, "methods": "pairseed", "k": "5"}))

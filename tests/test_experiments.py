@@ -536,6 +536,18 @@ def test_linkpred_identical_method_zero_distance():
     assert by["clone"].mean_dist_to_diag == pytest.approx(0.0, abs=1e-15)
 
 
+def test_linkpred_custom_baseline_is_not_doubled():
+    # a custom method named "single" is the baseline; none is added beside it
+    g = small_gpa(steps=400)
+
+    def clone_baseline(ctx):
+        return ctx.singles([ctx.node])[ctx.node]
+
+    res = run_standard_linkpred(g, num_nodes=10, methods=[("single", clone_baseline), "oracle"], rng_seed=4)
+    ref = run_standard_linkpred(g, num_nodes=10, methods=["single", "oracle"], rng_seed=4)
+    assert res.summary == ref.summary and res.nodes == ref.nodes
+
+
 def test_linkpred_oracle_perfect():
     g = small_gpa(steps=400)
     res = run_standard_linkpred(g, num_nodes=10, methods=["single", "oracle"], rng_seed=4)

@@ -191,6 +191,26 @@ def test_lcc_properties_random():
         assert lcc.n == max(comp_sizes)
 
 
+def test_lcc_matches_the_induced_slice():
+    # disjoint unions of random graphs, edges shuffled so the components'
+    # dense indices interleave; every other graph repeats one component
+    # under new labels, so the two largest tie on size
+    rng = np.random.default_rng(53)
+    for trial in range(40):
+        parts = [oracles.random_graph(rng, max_n=8) for _ in range(int(rng.integers(2, 5)))]
+        if trial % 2:
+            parts.append(parts[int(np.argmax([p.n for p in parts]))])
+        pairs = []
+        for c, part in enumerate(parts):
+            pairs += [(f"{c}:{part.labels[i]}", f"{c}:{part.labels[j]}") for i, j in part.edge_array()]
+        g = build_graph(EdgeList(tuple(pairs[i] for i in rng.permutation(len(pairs)))))
+        got, want = largest_connected_component(g), oracles.largest_component_slice(g)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.indptr.dtype == got.indices.dtype == np.int64
+        assert got.labels == want.labels
+
+
 def test_edge_neighborhood_examples(triangle_pendant, k2, star4):
     ix = triangle_pendant.label_index
     nbhd = edge_neighborhood(triangle_pendant, ix[1], ix[2])

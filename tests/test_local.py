@@ -159,6 +159,17 @@ def test_all_methods_match_set_oracle():
                 want = oracles.local_oracle(g, w, u, v, method)
                 assert fn(w) == pytest.approx(want, abs=1e-12)
                 assert dense[w] == pytest.approx(want, abs=1e-12)
+                # the scalar function reads its entry of the all-node vector
+                if method.startswith("aa"):
+                    assert fn(w) == pytest.approx(dense[w], abs=1e-12)
+                else:
+                    assert fn(w) == dense[w]
+        for w in set(range(g.n)) - {u, v}:
+            for base, node in (("js", js_node), ("aa", aa_node)):
+                a, b = node(g, w, u), node(g, w, v)
+                assert max(a, b) == score_all_nodes(g, (u, v), f"{base}-max").values[w]
+                assert a * b == score_all_nodes(g, (u, v), f"{base}-mul").values[w]
+            assert pa_node(g, w, u) == g.degree(w) * g.degree(u)
 
 
 def test_edge_variant_reduces_to_node_score():
@@ -184,3 +195,14 @@ def test_edge_variant_reduces_to_node_score():
         if seen > 30:
             break
     assert seen > 0
+
+
+@pytest.mark.parametrize("fn", [
+    lambda g, w: js_node(g, w, 0), lambda g, w: aa_node(g, w, 0), lambda g, w: pa_node(g, w, 0),
+    lambda g, w: js_edge(g, w, (0, 1)), lambda g, w: aa_edge(g, w, (0, 1)),
+    lambda g, w: pa_edge(g, w, (0, 1)), lambda g, w: local_combined(g, w, (0, 1), "aa", "mul"),
+])
+def test_scalar_functions_reject_nodes_out_of_range(k5, fn):
+    for w in (-1, k5.n):
+        with pytest.raises(IndexError):
+            fn(k5, w)
