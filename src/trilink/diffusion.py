@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 import logging
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import Graph
 from .triangles import TriangleSet, reinforced_matrix_apply, tensor_row_sums
@@ -82,6 +83,14 @@ class ScoreVector:
         return len(self.values)
 
 
+def seed_columns(n: int, seeds: Sequence[SeedVector]) -> sp.csc_array:
+    """The sparse n x k matrix whose columns are ``seeds``, in order."""
+    indptr = np.cumsum([0] + [len(s.entries) for s in seeds])
+    indices = np.fromiter((i for s in seeds for i in s.entries), dtype=np.int64, count=indptr[-1])
+    data = np.fromiter((w for s in seeds for w in s.entries.values()), dtype=np.float64, count=indptr[-1])
+    return sp.csc_array((data, indices, indptr), shape=(n, len(seeds)))
+
+
 def make_seed(g: Graph, kind: str, u: int, v: int | None = None) -> SeedVector:
     """Build a teleport distribution.
 
@@ -129,32 +138,49 @@ def pagerank(g: Graph, seed: SeedVector, params: DiffusionParams = DiffusionPara
     or more in exact arithmetic, so one that does not has hit the rounding
     floor. At most ceil(log(tol / 2) / log(alpha)) steps are taken.
     """
-    x = _pagerank_columns(g, seed.dense(g.n)[:, None], params)[:, 0]
-    return ScoreVector(x, "pagerank")
+    x, _, _ = _pagerank_columns(g, seed_columns(g.n, [seed]), params)
+    return ScoreVector(x[:, 0], "pagerank")
 
 
-def pagerank_many(
-    g: Graph, seeds: np.ndarray, params: DiffusionParams = DiffusionParams()
-) -> np.ndarray:
-    """Solve one PageRank system per column of ``seeds`` (n x k), sharing the
-    sparse matrix sweeps across columns.
+def pagerank_many(g: Graph, seeds, params: DiffusionParams = DiffusionParams()) -> np.ndarray:
+    """Solve one PageRank system per column of ``seeds``, an n x k dense
+    array or ``scipy.sparse`` matrix, sharing the sparse matrix sweeps across
+    columns; returns the n x k solutions, each column contiguous in memory.
 
-    Columns are solved in blocks of 64, and each column stops by the rule of
-    :func:`pagerank` on its own steps, so every column is bit-equal to its
-    own :func:`pagerank` call.
+    Columns are solved in blocks of 64, each built from the sparse seed
+    columns, and each column stops by the rule of :func:`pagerank` on its own
+    steps, so every column is bit-equal to its own :func:`pagerank` call.
     """
-    seeds = np.asarray(seeds, dtype=np.float64)
-    if seeds.shape[0] != g.n:
+    s = sp.csc_array(seeds, dtype=np.float64)
+    if s.shape[0] != g.n:
         raise ValueError("seed matrix must have n rows")
-    return _pagerank_columns(g, seeds, params)
+    x, steps, floored = _pagerank_columns(g, s, params)
+    if steps.size and log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "pagerank_many: %d columns in %d blocks, steps per column min %d median %g max %d, "
+            "%d floor hits",
+            steps.size, -(-steps.size // _BLOCK), steps.min(), np.median(steps), steps.max(),
+            np.count_nonzero(floored),
+        )
+    return x
 
 
-def _pagerank_columns(g: Graph, s: np.ndarray, params: DiffusionParams) -> np.ndarray:
+def _pagerank_columns(
+    g: Graph, s: sp.csc_array, params: DiffusionParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Power steps x <- A (x * alpha/deg) + (1 - alpha) s over blocks of
     # _BLOCK columns; each column stops on its own steps by the rule that
     # :func:`pagerank` states (in exact arithmetic step k <= 2 alpha^k).
+    # Returns the n x k solutions (the transpose of a k x n array, so each
+    # column is contiguous), the steps each column took, and which columns
+    # stopped above the tolerance.
+    # A is 0/1, so A with alpha/deg_j stored in its column j gives the same
+    # rounded terms x_j * alpha/deg_j as scaling x first, without a scaled
+    # n x 64 copy per step. (A sparse product built with fused multiply-adds
+    # would round each term with its sum instead; lone and batched columns
+    # would still agree, as both use this product.)
     a = g.adjacency
-    scale = (params.alpha / _walk_degrees(g))[:, None]
+    a = sp.csr_matrix(((params.alpha / _walk_degrees(g))[a.indices], a.indices, a.indptr), shape=a.shape)
     tol = params.tolerance if params.tolerance is not None else 1e-15 * g.n
     steps = max(1, math.ceil((math.log(tol) - math.log(2.0)) / math.log(params.alpha)))
     # A block adds up each column's step in another order than a lone solve
@@ -162,9 +188,12 @@ def _pagerank_columns(g: Graph, s: np.ndarray, params: DiffusionParams) -> np.nd
     # inside `margin`. So a column whose block sum comes within `margin` of
     # stopping is decided on its own sums, added in the lone order.
     margin = 4 * (g.n + 64) * np.finfo(np.float64).eps
-    out = np.empty_like(s)
-    for lo in range(0, s.shape[1], _BLOCK):
-        x = s[:, lo : lo + _BLOCK].copy()
+    cols = s.shape[1]
+    out = np.empty((cols, g.n))
+    taken = np.empty(cols, dtype=np.int64)
+    floored = np.empty(cols, dtype=bool)
+    for lo in range(0, cols, _BLOCK):
+        x = s[:, lo : lo + _BLOCK].toarray(order="C")
         # Seeds are sparse, so the teleport term goes to their nonzeros only.
         hot = np.flatnonzero(x)
         teleport = (1.0 - params.alpha) * x.reshape(-1)[hot]
@@ -173,7 +202,7 @@ def _pagerank_columns(g: Graph, s: np.ndarray, params: DiffusionParams) -> np.nd
         last = np.empty(x.shape[1])
         live = np.ones(x.shape[1], dtype=bool)
         for k in range(steps):
-            x_next = a @ (x * scale)
+            x_next = a @ x
             x_next.reshape(-1)[hot] += teleport
             step = x_next - x
             delta = np.abs(step, out=step).sum(axis=0)
@@ -183,19 +212,24 @@ def _pagerank_columns(g: Graph, s: np.ndarray, params: DiffusionParams) -> np.nd
                 for j in np.flatnonzero(near & live):
                     d = step[:, j].sum()
                     if d <= tol or (k and d >= before[:, j].sum()):
-                        out[:, lo + j] = x[:, j]
+                        out[lo + j] = x[:, j]
                         last[j] = d
+                        taken[lo + j] = k + 1
                         live[j] = False
                 if not live.any():
                     break
             floor = delta * (1.0 - margin)
             before = step
         else:
-            out[:, lo + np.flatnonzero(live)] = x[:, live]
+            capped = lo + np.flatnonzero(live)
+            out[capped] = x[:, live].T
             last[live] = delta[live]
-        for d in last[last > tol]:
+            taken[capped] = steps
+        over = last > tol
+        floored[lo : lo + x.shape[1]] = over
+        for d in last[over]:
             log.debug("pagerank residual floored at %.3g (tolerance %.3g)", d, tol)
-    return out
+    return out.T, taken, floored
 
 
 def single_seeded_pagerank(g: Graph, u: int, params: DiffusionParams = DiffusionParams()) -> ScoreVector:

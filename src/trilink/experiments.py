@@ -9,9 +9,11 @@ fell out of that component stay in the record but are flagged unusable.
 Both harnesses score methods the same way: a method is a ``(name, fn)``
 pair, and ``fn`` maps a :class:`TrialContext` to one float score per train
 node. Every context on one train graph shares a cache that lists the
-triangles once and solves each single-seed PageRank vector once. The
-pairwise ``pairseed`` scores come from that basis: seeded PageRank is linear
-in the seed, so the pair-seed solution is ½(x_u + x_v). A loeto trial's
+triangles once and solves each seeded PageRank vector once. The
+pairwise ``pairseed`` scores come from the single-seed vectors: seeded
+PageRank is linear in the seed, so the pair-seed solution is ½(x_u + x_v).
+Standard link prediction solves the seeds its methods read in one batch
+before scoring. A loeto trial's
 train graph is a subgraph of the parent graph, so its triangles are taken
 from the parent's list (enumerated once per run) rather than enumerated
 again, and only when a method reads them.
@@ -30,7 +32,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .diffusion import DiffusionParams, ScoreVector, make_seed, pagerank, pagerank_many, trpr
+from .diffusion import DiffusionParams, ScoreVector, make_seed, pagerank_many, seed_columns, trpr
 from .graph import (
     DataError,
     EdgeList,
@@ -322,7 +324,7 @@ class TrialContext:
     ``truth`` holds the ground-truth nodes (linkpred: the node's held-out
     partners) and ``candidates`` the rankable nodes. All methods in a trial
     receive the same context, and all contexts on one train graph share
-    ``cache``, so its triangles and single-seed vectors are computed once.
+    ``cache``, so its triangles and seeded PageRank vectors are computed once.
     When ``cache`` holds ``"parent"``, a ``(TriangleSet, Graph)`` pair of a
     graph that ``train`` is a subgraph of, the triangles are taken from the
     parent's list instead of being enumerated."""
@@ -348,18 +350,23 @@ class TrialContext:
             self.cache["triangles"] = ts
         return ts
 
-    def singles(self, nodes: Sequence[int]) -> dict[int, np.ndarray]:
-        """Single-seed PageRank vectors of ``nodes``; those not cached yet
-        are solved together in one :func:`pagerank_many` call, whose columns
-        are bit-equal to lone solves."""
-        missing = [i for i in nodes if ("single", i) not in self.cache]
+    def vectors(self, keys: Iterable[tuple[str, int]]) -> dict[tuple[str, int], np.ndarray]:
+        """PageRank vectors of ``(kind, node)`` seeds (see
+        :func:`~trilink.diffusion.make_seed`); those not cached yet are solved
+        together in one :func:`pagerank_many` call, whose columns are
+        bit-equal to lone solves."""
+        keys = list(dict.fromkeys(keys))
+        missing = [key for key in keys if key not in self.cache]
         if missing:
-            seeds = np.zeros((self.train.n, len(missing)))
-            seeds[missing, np.arange(len(missing))] = 1.0
+            seeds = seed_columns(self.train.n, [make_seed(self.train, kind, i) for kind, i in missing])
             sols = pagerank_many(self.train, seeds, self.params)
-            for col, i in enumerate(missing):
-                self.cache[("single", i)] = sols[:, col]
-        return {i: self.cache[("single", i)] for i in nodes}
+            for col, key in enumerate(missing):
+                self.cache[key] = sols[:, col]
+        return {key: self.cache[key] for key in keys}
+
+    def singles(self, nodes: Sequence[int]) -> dict[int, np.ndarray]:
+        """Single-seed PageRank vectors of ``nodes``, by node."""
+        return {i: x for (_, i), x in self.vectors(("single", i) for i in nodes).items()}
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -378,20 +385,33 @@ class TrialContext:
 Method = Callable[[TrialContext], np.ndarray]
 PAIRWISE_METHODS: dict[str, Method] = {}
 LINKPRED_METHODS: dict[str, Method] = {}
+# The (kind, node) seeds a built-in linkpred method reads when it scores a
+# node of a train graph, so the harness can solve them all in one batch.
+LINKPRED_SEEDS: dict[str, Callable[[Graph, int], list[tuple[str, int]]]] = {}
 
 
-def _register(registry: dict[str, Method], tag: str):
+def _register(registry: dict[str, Method], tag: str, seeds=None):
     def deco(fn: Method) -> Method:
         registry[tag] = fn
+        if seeds is not None:
+            LINKPRED_SEEDS[tag] = seeds
         return fn
 
     return deco
 
 
-def _single(ctx: TrialContext, node: int) -> np.ndarray:
-    # One node per solve: a two-column sparse product costs about twice two
+def _vector(ctx: TrialContext, kind: str, node: int) -> np.ndarray:
+    # One seed per solve: a two-column sparse product costs about twice two
     # one-column ones (GPA-20k, 40 seeds: 0.43 s in pairs, 0.23 s alone).
-    return ctx.singles([node])[node]
+    return ctx.vectors([(kind, node)])[(kind, node)]
+
+
+def _single(ctx: TrialContext, node: int) -> np.ndarray:
+    return _vector(ctx, "single", node)
+
+
+def _closed_singles(train: Graph, i: int) -> list[tuple[str, int]]:
+    return [("single", j) for j in [i, *train.neighbors(i).tolist()]]
 
 
 @_register(PAIRWISE_METHODS, "pairseed")
@@ -459,20 +479,19 @@ def _m_antioracle(ctx: TrialContext) -> np.ndarray:
     return vals
 
 
-@_register(LINKPRED_METHODS, "single")
+@_register(LINKPRED_METHODS, "single", seeds=lambda train, i: [("single", i)])
 def _lp_single(ctx: TrialContext) -> np.ndarray:
     return _single(ctx, ctx.node)
 
 
-@_register(LINKPRED_METHODS, "sum")
+@_register(LINKPRED_METHODS, "sum", seeds=lambda train, i: [("weighted-star", i)])
 def _lp_sum(ctx: TrialContext) -> np.ndarray:
     # Aggregating the pair-seed vectors of all incident edges collapses, by
     # linearity, to one solve with the degree-weighted closed neighborhood.
-    seed = make_seed(ctx.train, "weighted-star", ctx.node)
-    return pagerank(ctx.train, seed, ctx.params).values
+    return _vector(ctx, "weighted-star", ctx.node)
 
 
-@_register(LINKPRED_METHODS, "max")
+@_register(LINKPRED_METHODS, "max", seeds=_closed_singles)
 def _lp_max(ctx: TrialContext) -> np.ndarray:
     i = ctx.node
     nbrs = [int(j) for j in ctx.train.neighbors(i)]
@@ -482,7 +501,7 @@ def _lp_max(ctx: TrialContext) -> np.ndarray:
     return np.maximum.reduce(pair_vectors)
 
 
-@_register(LINKPRED_METHODS, "max-singles")
+@_register(LINKPRED_METHODS, "max-singles", seeds=_closed_singles)
 def _lp_max_singles(ctx: TrialContext) -> np.ndarray:
     i = ctx.node
     nbrs = [int(j) for j in ctx.train.neighbors(i)]
@@ -490,10 +509,9 @@ def _lp_max_singles(ctx: TrialContext) -> np.ndarray:
     return np.maximum.reduce([vecs[j] for j in [i] + nbrs])
 
 
-@_register(LINKPRED_METHODS, "star")
+@_register(LINKPRED_METHODS, "star", seeds=lambda train, i: [("star", i)])
 def _lp_star(ctx: TrialContext) -> np.ndarray:
-    seed = make_seed(ctx.train, "star", ctx.node)
-    return pagerank(ctx.train, seed, ctx.params).values
+    return _vector(ctx, "star", ctx.node)
 
 
 @_register(LINKPRED_METHODS, "trpr")
@@ -774,7 +792,8 @@ def run_standard_linkpred(
     partners as positives. The summary compares every method to the
     single-seed baseline, including the mean signed distance to the y = x
     diagonal of the method-vs-baseline AUC scatter. Cohort nodes are scored
-    in order.
+    in order; before scoring, the seeds that the built-in methods declare
+    (``LINKPRED_SEEDS``) are solved for every scored node in one batch.
     """
     if num_nodes < 1:
         raise ValueError("num_nodes must be >= 1")
@@ -792,27 +811,28 @@ def run_standard_linkpred(
     if len(cohort) < num_nodes:
         log.warning("cohort shrunk to %d nodes (graph too small)", len(cohort))
 
-    basis = TrialContext(train, params)
-    # Solve every single-seed vector the methods will ask for in one batch,
-    # which shares each sparse sweep across columns.
-    needed = set(cohort)
-    if any(m in ("max", "max-singles") for m in methods):
-        for i in cohort:
-            needed.update(int(j) for j in train.neighbors(i))
-    basis.singles(sorted(needed))
-    skipped = 0
-    rows: list[LinkpredNodeRow] = []
-    per_method: dict[str, list[float]] = {name: [] for name, _ in named}
-    baseline_aucs: list[float] = []
+    scored = []
     for i in cohort:
         mask = np.ones(train.n, dtype=bool)
         mask[train.neighbors(i)] = False
         mask[i] = False
         cands = np.flatnonzero(mask)
         positives = frozenset(adj.get(i, set()))
-        if not positives or len(positives) >= len(cands):
-            skipped += 1
-            continue
+        if positives and len(positives) < len(cands):
+            scored.append((i, cands, positives))
+    skipped = len(cohort) - len(scored)
+
+    basis = TrialContext(train, params)
+    # Solve every seed the built-in methods read on the scored nodes in one
+    # batch, which shares each sparse sweep across columns.
+    declared = [
+        LINKPRED_SEEDS[name] for name, fn in named if name in LINKPRED_SEEDS and fn is LINKPRED_METHODS[name]
+    ]
+    basis.vectors(key for i, _, _ in scored for seeds in declared for key in seeds(train, i))
+    rows: list[LinkpredNodeRow] = []
+    per_method: dict[str, list[float]] = {name: [] for name, _ in named}
+    baseline_aucs: list[float] = []
+    for i, cands, positives in scored:
         ctx = replace(basis, node=i, candidates=cands, truth=positives)
         res = [(name, auc(_method_output(name, fn(ctx), train.n), positives, cands)) for name, fn in named]
         baseline_aucs.append(dict(res)[LINKPRED_BASELINE])

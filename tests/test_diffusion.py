@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from trilink import (
     pagerank_many,
     pair_seeded_pagerank,
     rank_stability,
+    seed_columns,
     single_seeded_pagerank,
     tensor_row_sums,
     top_k_indices,
@@ -206,6 +209,46 @@ def test_pagerank_column_ignores_its_companions():
     for other in (fast, slow):
         assert np.array_equal(pagerank_many(g, np.column_stack([x, other]))[:, 0], alone)
         assert np.array_equal(pagerank_many(g, np.column_stack([other, x]))[:, 1], alone)
+
+
+def test_pagerank_many_sparse_seeds_bit_equal_to_dense_without_a_dense_copy():
+    # 500 sparse seed columns give the dense input's bits, and the solve
+    # holds its n x k output and a few n x 64 blocks, never an n x k copy of
+    # the seeds (that alone would be 7.8 blocks here).
+    g = largest_connected_component(generate_gpa(GpaParams(p_edge=0.5, steps=600, rng_seed=3)))
+    kinds = ("single", "pair", "star", "weighted-star")
+    seeds = []
+    for c in range(500):
+        u = c % g.n
+        kind = kinds[c % 4]
+        seeds.append(make_seed(g, kind, u, int(g.neighbors(u)[0]) if kind == "pair" else None))
+    s = seed_columns(g.n, seeds)
+    want = pagerank_many(g, np.column_stack([seed.dense(g.n) for seed in seeds]))
+    tracemalloc.start()
+    try:
+        got = pagerank_many(g, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (g.n, 500) and np.array_equal(got, want)
+    assert got[:, 499].flags["C_CONTIGUOUS"]
+    assert peak < got.nbytes + 8 * g.n * 64 * 8
+
+
+def test_pagerank_many_logs_one_summary_line(caplog):
+    # The steps of the columns of test_pagerank_column_ignores_its_companions;
+    # at a tolerance no step reaches, every column stops on the rounding floor.
+    g = largest_connected_component(generate_gpa(GpaParams(p_edge=0.5, steps=600, rng_seed=3)))
+    s = np.column_stack([make_seed(g, "single", 9).dense(g.n), g.degrees / g.degrees.sum(),
+                         make_seed(g, "single", 238).dense(g.n)])
+    for params, tail in ((DiffusionParams(), "min 1 median 82 max 109, 0 floor hits"),
+                         (DiffusionParams(tolerance=1e-300), "3 floor hits")):
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="trilink"):
+            pagerank_many(g, s, params)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("pagerank_many")]
+        assert len(lines) == 1 and lines[0].startswith("pagerank_many: 3 columns in 1 blocks")
+        assert lines[0].endswith(tail)
 
 
 def test_pagerank_many_stops_where_the_lone_sum_says():

@@ -567,6 +567,52 @@ def test_linkpred_sum_equals_weighted_star_seed():
     assert np.abs(agg - direct).max() <= 1e-9
 
 
+def test_linkpred_solves_its_seeds_in_one_batch(monkeypatch):
+    # The built-in methods declare their seeds, so one pagerank_many call
+    # solves those of the scored nodes, none of the skipped nodes', and no
+    # lone pagerank solve runs. star and sum read columns of that batch,
+    # bit-equal to lone solves of their seeds.
+    import trilink.diffusion as dif
+    import trilink.experiments as ex
+
+    lone, batches = [], []
+    seen: dict[str, list] = {"star": [], "sum": []}
+    batch = ex.pagerank_many
+    monkeypatch.setattr(dif, "pagerank", lambda *a, **kw: lone.append(a) or pagerank(*a, **kw))
+    monkeypatch.setattr(ex, "pagerank_many", lambda g, s, p: batches.append(s.shape[1]) or batch(g, s, p))
+
+    def recording(name):
+        fn = ex.LINKPRED_METHODS[name]
+
+        def rec(ctx):
+            vals = fn(ctx)
+            seen[name].append((ctx.train, ctx.node, vals))
+            return vals
+
+        return rec
+
+    for name in seen:
+        monkeypatch.setitem(ex.LINKPRED_METHODS, name, recording(name))
+    res = run_standard_linkpred(small_gpa(steps=400), num_nodes=30, rng_seed=4)
+    monkeypatch.undo()
+    assert lone == [] and len(batches) == 1
+
+    train = seen["star"][0][0]
+    scored = [i for _, i, _ in seen["star"]]
+    cohort = np.lexsort((np.arange(train.n), -train.degrees))[:30]
+    assert len(cohort) - len(scored) == res.metadata["nodes_skipped_no_positives"]
+
+    def closed_singles(nodes):
+        return {j for i in nodes for j in [i, *train.neighbors(i).tolist()]}
+
+    assert len(closed_singles(cohort)) > len(closed_singles(scored))
+    assert batches == [len(closed_singles(scored)) + 2 * len(scored)]
+    for name, kind in (("star", "star"), ("sum", "weighted-star")):
+        assert [i for _, i, _ in seen[name]] == scored
+        for g, i, vals in seen[name]:
+            assert np.array_equal(vals, pagerank(g, make_seed(g, kind, i)).values)
+
+
 def test_linkpred_rows_and_cohort_shrink():
     g = small_gpa(steps=200)
     res = run_standard_linkpred(g, num_nodes=10_000, rng_seed=3)
@@ -713,3 +759,19 @@ def test_context_singles_bit_equal_to_pagerank():
     for i in (0, 7, train.n // 2, train.n - 1):
         want = pagerank(train, make_seed(train, "single", i), params).values
         assert np.array_equal(ctx.singles([i])[i], want)
+
+
+def test_context_solves_each_seed_once(monkeypatch):
+    import trilink.experiments as ex
+
+    batches = []
+    batch = ex.pagerank_many
+    monkeypatch.setattr(ex, "pagerank_many", lambda g, s, p: batches.append(s.shape[1]) or batch(g, s, p))
+    train = split_holdout(small_gpa(steps=400), 0.3, 5).train
+    ctx = TrialContext(train, DiffusionParams())
+    vecs = ctx.singles([3, 3])
+    assert batches == [1] and list(vecs) == [3]
+    keys = [("star", 3), ("single", 3), ("weighted-star", 5), ("star", 3)]
+    assert list(ctx.vectors(keys)) == [("star", 3), ("single", 3), ("weighted-star", 5)]
+    assert batches == [1, 2]
+    assert ctx.singles([3])[3] is vecs[3]
