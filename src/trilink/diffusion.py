@@ -341,6 +341,69 @@ def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
     return order[:k]
 
 
+def _ranks(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Average ranks (1-based, ties sharing their mean, as scipy's
+    ``rankdata``), dense ranks (0-based) and the number of tied pairs of a
+    NaN-free ``v``. Each average is an exact half-integer, so its bits match
+    any exact method's."""
+    order = np.argsort(v)
+    s = v[order]
+    bounds = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1], [True])))
+    runs = np.diff(bounds)
+    average = np.empty(len(v))
+    average[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0, runs)
+    dense = np.empty(len(v), dtype=np.int64)
+    dense[order] = np.repeat(np.arange(len(runs)), runs)
+    return average, dense, int((runs * (runs - 1) // 2).sum())
+
+
+_LEAF = 16
+_LEAF_PAIRS = np.triu(np.ones((_LEAF, _LEAF), dtype=bool), 1)
+
+
+def _inversions(y: np.ndarray) -> int:
+    """Pairs i < j with y[i] > y[j], for nonnegative integers ``y``.
+
+    Bottom-up merge counting (Knight 1966, as scipy's ``kendalltau``):
+    blocks of 16 compare all their pairs at once, then each level merges
+    sibling blocks with one row-wise sort and counts the pairs split by them.
+    """
+    size = max(_LEAF, 1 << (len(y) - 1).bit_length())
+    # Padding past the end with a value above every y adds no inversion.
+    padded = np.full(size, int(y.max()) + 1, dtype=np.int64)
+    padded[: len(y)] = y
+    leaves = padded.reshape(-1, _LEAF)
+    dis = int(np.count_nonzero((leaves[:, :, None] > leaves[:, None, :]) & _LEAF_PAIRS))
+    vals = 2 * np.sort(leaves, axis=1)
+    s = _LEAF
+    while s < size:
+        # Sorting 2y + side (0 left, 1 right) merges each sibling pair, a left
+        # entry ahead of an equal right one. The k-th right entry of a row
+        # (from 0), at position p, then has p - k left entries at or below
+        # it and s - p + k above it.
+        rows = vals.reshape(-1, 2 * s) | (np.arange(2 * s) >= s)
+        rows.sort(axis=1)
+        at = int(np.dot((rows & 1).sum(axis=0), np.arange(2 * s)))
+        dis += len(rows) * (s * s + s * (s - 1) // 2) - at
+        vals = rows & -2
+        s *= 2
+    return dis
+
+
+def _kendall_tau_b(dx: np.ndarray, xtie: int, dy: np.ndarray, ytie: int) -> float:
+    """Kendall tau-b from dense ranks and tied-pair counts, by scipy's
+    ``kendalltau`` integer formula, so the result has its bits."""
+    span = int(dy.max()) + 1
+    keys = np.sort(dx * span + dy)  # (x, y) order; equal pairs stay together
+    runs = np.diff(np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1], [True]))))
+    ntie = int((runs * (runs - 1) // 2).sum())
+    dis = _inversions(keys % span)
+    tot = len(dx) * (len(dx) - 1) // 2
+    con_minus_dis = tot - xtie - ytie + ntie - 2 * dis
+    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return float(min(1.0, max(-1.0, tau)))
+
+
 def rank_stability(
     x_prev: ScoreVector | np.ndarray,
     x_next: ScoreVector | np.ndarray,
@@ -350,7 +413,10 @@ def rank_stability(
 
     With ``top_k`` set, correlation is computed over the union of the two
     vectors' top-k node sets; ranks within the restriction use the standard
-    tie corrections (average ranks for rho, tau-b for tau).
+    tie corrections (average ranks for rho, tau-b for tau). A constant
+    vector has no ranking to compare, so it gives (nan, nan), as does a NaN
+    entry. Both statistics equal scipy's ``spearmanr`` and ``kendalltau``
+    bit for bit.
     """
     va = np.asarray(x_prev.values if isinstance(x_prev, ScoreVector) else x_prev, dtype=np.float64)
     vb = np.asarray(x_next.values if isinstance(x_next, ScoreVector) else x_next, dtype=np.float64)
@@ -361,8 +427,10 @@ def rank_stability(
         va, vb = va[keep], vb[keep]
     if len(va) < 2:
         raise ValueError("need at least 2 items to correlate")
-    from scipy import stats  # deferred: scipy.stats takes ~0.7 s to import
-
-    rho = stats.spearmanr(va, vb).statistic
-    tau = stats.kendalltau(va, vb).statistic
-    return float(rho), float(tau)
+    if any(np.isnan(v).any() or v.min() == v.max() for v in (va, vb)):
+        log.debug("rank_stability: constant or NaN input over %d items; rho and tau are nan", len(va))
+        return math.nan, math.nan
+    ra, da, xtie = _ranks(va)
+    rb, db, ytie = _ranks(vb)
+    rho = np.corrcoef(np.column_stack([ra, rb]), rowvar=False)[1, 0]
+    return float(rho), _kendall_tau_b(da, xtie, db, ytie)

@@ -31,8 +31,9 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
-from .diffusion import DiffusionParams, ScoreVector, make_seed, pagerank_many, seed_columns, trpr
+from .diffusion import DiffusionParams, ScoreVector, _ranks, make_seed, pagerank_many, seed_columns, trpr
 from .graph import (
     DataError,
     EdgeList,
@@ -294,7 +295,8 @@ def success_probability(
 
 def auc(scores: ScoreVector | np.ndarray, positives: Iterable[int], candidates: np.ndarray) -> float:
     """Probability that a random positive outranks a random negative among
-    the candidates, ties counted half (Mann-Whitney)."""
+    the candidates, ties counted half (Mann-Whitney); nan if a candidate's
+    score is NaN."""
     values = scores.values if isinstance(scores, ScoreVector) else np.asarray(scores)
     candidates = np.asarray(candidates, dtype=np.int64)
     pos = np.asarray(sorted(set(int(p) for p in positives)), dtype=np.int64)
@@ -306,9 +308,10 @@ def auc(scores: ScoreVector | np.ndarray, positives: Iterable[int], candidates: 
     n_neg = len(candidates) - len(pos)
     if n_neg == 0:
         raise ValueError("no negative examples")
-    from scipy.stats import rankdata  # deferred: scipy.stats takes ~0.7 s to import
-
-    ranks = rankdata(values[candidates])
+    v = values[candidates]
+    if np.isnan(v).any():
+        return math.nan
+    ranks = _ranks(v)[0]
     u_stat = ranks[is_pos].sum() - len(pos) * (len(pos) + 1) / 2.0
     return float(u_stat / (len(pos) * n_neg))
 
@@ -593,11 +596,26 @@ class PairwiseResult:
 
 
 def _eligible_seed_edges(split: SplitDataset, policy: EvalPolicy) -> list[tuple[int, int]]:
-    out = []
-    for u, v in split.train.edge_array():
-        if ground_truth(split, (int(u), int(v)), policy):
-            out.append((int(u), int(v)))
-    return out
+    """Train edges (in ``edge_array`` order) whose ground truth is nonempty,
+    found for all edges at once from the test adjacency T and the train
+    adjacency A: under ``and`` truth the endpoints share a test neighbour,
+    (T @ T)[u, v] > 0; under ``or`` truth a test neighbour of one endpoint is
+    a train neighbour of the other, (T @ A + A @ T)[u, v] > 0, which equals
+    :func:`ground_truth`'s rule because train and test edges are disjoint."""
+    train = split.train
+    adj = split.test_adjacency
+    rows = np.fromiter((u for u, nb in adj.items() for _ in nb), dtype=np.int64)
+    cols = np.fromiter((w for nb in adj.values() for w in nb), dtype=np.int64)
+    off = rows != cols  # ground truth never holds a seed endpoint
+    t = sp.csr_matrix((np.ones(int(off.sum())), (rows[off], cols[off])), shape=(train.n, train.n))
+    edges = train.edge_array()
+    u, v = edges.T
+    if policy.truth_mode == "and":
+        count = (t @ t)[u, v]
+    else:
+        ta = t @ train.adjacency  # A @ T is its transpose
+        count = ta[u, v] + ta[v, u]
+    return [(a, b) for a, b in edges[np.asarray(count).ravel() > 0].tolist()]
 
 
 def run_pairwise_experiment(

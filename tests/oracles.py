@@ -1,14 +1,19 @@
 """Independent reference implementations used to check the library.
 
 Everything here favors obviousness over speed: explicit dense tensors,
-cubic scans, direct linear solves, pure-Python set algebra.
+cubic scans, direct linear solves, pure-Python set algebra. The rank
+statistics and connected components come from scipy, which trilink itself
+uses only for ``scipy.sparse``.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
+from scipy import stats
+from scipy.sparse.csgraph import connected_components
 
 from trilink import EdgeList, Graph, build_graph, largest_connected_component
 from trilink.experiments import SplitDataset
@@ -309,3 +314,30 @@ def largest_component_slice(g: Graph) -> Graph:
         indices=a.indices.astype(np.int64),
         labels=tuple(g.labels[i] for i in nodes),
     )
+
+
+# -- scipy references -----------------------------------------------------------
+
+
+def scipy_ranks(values: np.ndarray) -> np.ndarray:
+    """Average ranks, ties sharing their mean."""
+    return stats.rankdata(values)
+
+
+def scipy_rank_stats(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """(Spearman rho, Kendall tau-b); scipy returns nan for a constant input
+    and warns, and the warning is silenced here."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", stats.ConstantInputWarning)
+        return float(stats.spearmanr(a, b).statistic), float(stats.kendalltau(a, b).statistic)
+
+
+def scipy_lcc_nodes(g: Graph) -> np.ndarray:
+    """Dense indices of the largest component by ``connected_components``
+    (ties: the component holding the smallest index)."""
+    _, comp = connected_components(g.adjacency, directed=False)
+    sizes = np.bincount(comp)
+    # each component's smallest index, ascending
+    firsts = np.sort(np.unique(comp, return_index=True)[1])
+    best = comp[firsts[np.argmax(sizes[comp[firsts]])]]
+    return np.flatnonzero(comp == best)

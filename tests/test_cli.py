@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -423,3 +424,33 @@ def test_console_script_entrypoint(gpa_file):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().isdigit()
+
+
+# Run in a fresh interpreter: the test process itself imports scipy.stats for
+# the oracles.
+IMPORT_GUARD = """
+import json, sys
+from trilink.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.sparse.csgraph", "scipy.linalg")))))
+"""
+
+
+def test_subcommands_never_import_scipy_stats_csgraph_or_linalg(gpa_file, tmp_path):
+    # trilink uses scipy only for scipy.sparse; scipy.stats alone takes
+    # about 0.8 s to import.
+    common = ["--input", str(gpa_file), "--seed", "1"]
+    runs = [
+        ["pairwise", "--protocol", "holdout", "--trials", "3", "--out-dir", str(tmp_path / "h"), *common],
+        ["pairwise", "--protocol", "loeto", "--trials", "2", "--out-dir", str(tmp_path / "l"), *common],
+        ["linkpred", "--num-nodes", "5", "--out-dir", str(tmp_path / "p"), *common],
+        ["diagnose", "--max-iters", "5", "--out-dir", str(tmp_path / "d"), *common],
+    ]
+    src = str(Path(main.__code__.co_filename).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, json.dumps(runs)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert all((tmp_path / d).is_dir() for d in "hlpd")

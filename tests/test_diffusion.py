@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -503,6 +504,26 @@ def test_rank_stability_top_k_union():
         rank_stability(a, np.array([1.0, 2.0]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rank_stability_constant_input_is_nan(caplog):
+    # A constant vector has no ranking: both statistics are nan, with one
+    # DEBUG line per call and no warning.
+    ramp = np.arange(5.0)
+    cases = [
+        (np.full(5, 0.2), ramp, None),
+        (ramp, np.array([0.0, -0.0, 0.0, -0.0, 0.0]), None),
+        (np.array([3.0, 3.0, 1.0, 0.0, 0.0]), ramp[::-1], 2),  # constant on the top-2 union
+        (np.full(2, 0.5), np.full(2, 0.5), None),
+    ]
+    with caplog.at_level("DEBUG", logger="trilink"):
+        for a, b, top in cases:
+            rho, tau = rank_stability(a, b, top_k=top)
+            assert math.isnan(rho) and math.isnan(tau)
+    lines = [r.getMessage() for r in caplog.records if r.name == "trilink"]
+    assert len(lines) == len(cases)
+    assert all("constant or NaN input" in line for line in lines)
+
+
 def test_rank_stability_converged_iterates():
     g = generate_gpa(GpaParams(p_edge=0.5, steps=600, rng_seed=9))
     ts = enumerate_triangles(g)
@@ -512,3 +533,23 @@ def test_rank_stability_converged_iterates():
     rho, tau = rank_stability(iterates[10], iterates[200], top_k=100)
     assert tau >= 0.9
     assert rho >= 0.9
+
+
+def test_star_and_weighted_star_are_affine_in_the_single_vector():
+    # On an undirected graph P x_i = (x_i - (1 - alpha) e_i) / alpha, so the
+    # star vector is ((1 + d/alpha) x_i - d (1 - alpha)/alpha e_i) / (d + 1)
+    # and the weighted-star vector (x_i + (x_i - (1 - alpha) e_i)/alpha) / 2:
+    # away from node i both are positive multiples of x_i, and rank every
+    # candidate as the single vector does.
+    g = generate_gpa(GpaParams(p_edge=0.5, steps=800, rng_seed=21))
+    params = DiffusionParams(alpha=0.85)
+    a = params.alpha
+    for i in np.argsort(-g.degrees, kind="stable")[:8].tolist():
+        d = g.degree(i)
+        x = single_seeded_pagerank(g, i, params).values
+        e = np.zeros(g.n)
+        e[i] = 1.0
+        star = pagerank(g, make_seed(g, "star", i), params).values
+        wstar = pagerank(g, make_seed(g, "weighted-star", i), params).values
+        assert np.abs(star - ((1 + d / a) * x - d * (1 - a) / a * e) / (d + 1)).max() < 1e-10
+        assert np.abs(wstar - (x + (x - (1 - a) * e) / a) / 2).max() < 1e-10

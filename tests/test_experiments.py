@@ -29,7 +29,7 @@ from trilink import (
     split_temporal,
     success_probability,
 )
-from trilink.experiments import TrialContext, _best_truth_rank
+from trilink.experiments import TrialContext, _best_truth_rank, _eligible_seed_edges
 from trilink.triangles import subgraph_triangles, triangle_edges
 
 import oracles
@@ -317,6 +317,20 @@ def test_ground_truth_or_requires_other_edge_in_train():
     ix = split.train.label_index
     # (2,4) is neither in train nor test
     assert ground_truth(split, (ix[1], ix[2]), EvalPolicy(truth_mode="or")) == frozenset()
+
+
+def test_eligible_seed_edges_equal_the_per_edge_ground_truth():
+    # One sparse product lists the train edges with nonempty ground truth, in
+    # edge_array order, since trials index into the list. The temporal split
+    # holds out a self-loop record, which ground truth never counts.
+    g = small_gpa(seed=4, steps=600)
+    pairs = [(g.labels[u], g.labels[v]) for u, v in g.edge_array()] + [(g.labels[0], g.labels[0])]
+    timed = EdgeList(tuple(pairs), tuple(np.random.default_rng(3).permutation(g.m).tolist()) + (g.m,))
+    for split in [split_holdout(g, 0.3, 1), split_holdout(g, 0.3, 2), split_temporal(timed, 0.7)]:
+        for mode in ("and", "or"):
+            policy = EvalPolicy(truth_mode=mode)
+            want = [(u, v) for u, v in split.train.edge_array().tolist() if ground_truth(split, (u, v), policy)]
+            assert want and _eligible_seed_edges(split, policy) == want
 
 
 def test_candidate_rules(couple):

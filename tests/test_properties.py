@@ -1,7 +1,8 @@
 """Property tests for the identities the fast paths rely on: the tensor
 contraction, the mask-built splits, the loeto triangles taken from the
-parent's list, the O(n) rank count, pair-seed linearity, and edge-list
-labels surviving a round trip through a graph.
+parent's list, the O(n) rank count, pair-seed linearity, edge-list labels
+surviving a round trip through a graph, and the numpy rank statistics and
+largest component agreeing with scipy bit for bit.
 
 Small random graphs and vectors drawn by Hypothesis; derandomized, so every
 run draws the same examples.
@@ -12,7 +13,7 @@ from __future__ import annotations
 import io
 
 import numpy as np
-from hypothesis import assume, given, reject, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from trilink import (
@@ -32,9 +33,11 @@ from trilink import (
     to_edge_list,
     trpr_iterates,
 )
-from trilink.diffusion import SEED_KINDS
+from trilink.diffusion import SEED_KINDS, _ranks, rank_stability
 from trilink.experiments import _best_truth_rank
 from trilink.triangles import subgraph_triangles, triangle_edges
+
+import oracles
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -201,3 +204,64 @@ def test_edge_list_labels_round_trip_through_a_graph(pairs):
     text = "".join(f"{u} {v}\n" for u, v in edges)
     again = to_edge_list(build_graph(load_edge_list(io.StringIO(text)))).pairs
     assert {frozenset(p) for p in again} == {frozenset(p) for p in edges}
+
+
+# A few levels, so ties are common; -0.0 and 0.0 are one value.
+TIED = st.sampled_from([-2.5, -0.0, 0.0, 0.125, 1.0, 3.0])
+
+
+def bits(*xs: float) -> bytes:
+    return np.array(xs, dtype=np.float64).tobytes()
+
+
+@st.composite
+def score_pairs(draw):
+    n = draw(st.integers(2, 200))
+    elements = draw(st.sampled_from([TIED, FINITE]))
+    return draw(arrays(np.float64, n, elements=elements)), draw(arrays(np.float64, n, elements=elements))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(score_pairs())
+@example((np.array([0.0, -0.0, 1.0]), np.array([-0.0, 1.0, 0.0])))
+@example((np.array([1.0, 2.0]), np.array([2.0, 1.0])))
+@example((np.array([1.0, 1.0]), np.array([2.0, 1.0])))
+def test_rank_statistics_equal_scipy_bit_for_bit(case):
+    a, b = case
+    assert _ranks(a)[0].tobytes() == oracles.scipy_ranks(a).tobytes()
+    assert bits(*rank_stability(a, b)) == bits(*oracles.scipy_rank_stats(a, b))
+
+
+@PROPERTY
+@given(st.data())
+def test_untied_short_rank_statistics_equal_scipy(data):
+    # Up to 33 untied values, scipy's kendalltau takes its exact p-value path.
+    n = data.draw(st.integers(2, 33))
+    a, b = (np.array(data.draw(st.lists(FINITE, min_size=n, max_size=n, unique=True))) for _ in "ab")
+    assert bits(*rank_stability(a, b)) == bits(*oracles.scipy_rank_stats(a, b))
+
+
+@st.composite
+def path_forests(draw):
+    """Disjoint paths under shuffled labels and edge order, so components'
+    dense indices interleave: many small ones, sometimes one long path, and
+    sometimes two largest of one size."""
+    sizes = draw(st.lists(st.integers(2, 30), min_size=1, max_size=40))
+    sizes += draw(st.sampled_from([[], [3000]]))
+    if draw(st.booleans()):
+        sizes.append(max(sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    names = rng.permutation(sum(sizes)).tolist()
+    pairs, start = [], 0
+    for size in sizes:
+        path = names[start : start + size]
+        pairs += zip(path[:-1], path[1:])
+        start += size
+    return build_graph(EdgeList(tuple(pairs[i] for i in rng.permutation(len(pairs)))))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(path_forests())
+def test_largest_component_equals_scipy(g):
+    lcc = largest_connected_component(g)
+    assert lcc.labels == tuple(g.labels[i] for i in oracles.scipy_lcc_nodes(g))
