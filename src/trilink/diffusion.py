@@ -26,9 +26,15 @@ log = logging.getLogger("trilink")
 
 SEED_KINDS = ("single", "pair", "star", "weighted-star")
 
-# Seed columns per batched power iteration; keeps the n x _BLOCK iterates
-# cache-sized (32, 64 and 128 measured alike, unblocked about twice as slow).
-_BLOCK = 64
+# Bytes of one n x width block of a batched power iteration. A block holds
+# three (the iterate, the next one and the step before), so at 512 KiB they
+# stay inside a 2 MiB L2 cache; at most 64 columns share a block.
+_BLOCK_BYTES = 512 * 1024
+
+
+def _block_width(n: int) -> int:
+    """Columns per block of a batched power iteration on n nodes."""
+    return min(max(_BLOCK_BYTES // (8 * n), 1), 64)
 
 
 @dataclass(frozen=True)
@@ -147,19 +153,22 @@ def pagerank_many(g: Graph, seeds, params: DiffusionParams = DiffusionParams()) 
     array or ``scipy.sparse`` matrix, sharing the sparse matrix sweeps across
     columns; returns the n x k solutions, each column contiguous in memory.
 
-    Columns are solved in blocks of 64, each built from the sparse seed
-    columns, and each column stops by the rule of :func:`pagerank` on its own
-    steps, so every column is bit-equal to its own :func:`pagerank` call.
+    Columns are solved in cache-sized blocks (:func:`_block_width`: 64
+    columns on small graphs, fewer as n grows), each built from the sparse
+    seed columns, and each column stops by the rule of :func:`pagerank` on
+    its own steps, so every column is bit-equal to its own :func:`pagerank`
+    call.
     """
     s = sp.csc_array(seeds, dtype=np.float64)
     if s.shape[0] != g.n:
         raise ValueError("seed matrix must have n rows")
     x, steps, floored = _pagerank_columns(g, s, params)
     if steps.size and log.isEnabledFor(logging.DEBUG):
+        width = min(_block_width(g.n), steps.size)
         log.debug(
-            "pagerank_many: %d columns in %d blocks, steps per column min %d median %g max %d, "
-            "%d floor hits",
-            steps.size, -(-steps.size // _BLOCK), steps.min(), np.median(steps), steps.max(),
+            "pagerank_many: %d columns in %d blocks of width %d, steps per column min %d median %g "
+            "max %d, %d floor hits",
+            steps.size, -(-steps.size // width), width, steps.min(), np.median(steps), steps.max(),
             np.count_nonzero(floored),
         )
     return x
@@ -169,31 +178,32 @@ def _pagerank_columns(
     g: Graph, s: sp.csc_array, params: DiffusionParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Power steps x <- A (x * alpha/deg) + (1 - alpha) s over blocks of
-    # _BLOCK columns; each column stops on its own steps by the rule that
-    # :func:`pagerank` states (in exact arithmetic step k <= 2 alpha^k).
+    # _block_width(n) columns; each column stops on its own steps by the rule
+    # that :func:`pagerank` states (in exact arithmetic step k <= 2 alpha^k).
     # Returns the n x k solutions (the transpose of a k x n array, so each
     # column is contiguous), the steps each column took, and which columns
     # stopped above the tolerance.
     # A is 0/1, so A with alpha/deg_j stored in its column j gives the same
     # rounded terms x_j * alpha/deg_j as scaling x first, without a scaled
-    # n x 64 copy per step. (A sparse product built with fused multiply-adds
-    # would round each term with its sum instead; lone and batched columns
-    # would still agree, as both use this product.)
+    # copy of the block per step. (A sparse product built with fused
+    # multiply-adds would round each term with its sum instead; lone and
+    # batched columns would still agree, as both use this product.)
     a = g.adjacency
     a = sp.csr_matrix(((params.alpha / _walk_degrees(g))[a.indices], a.indices, a.indptr), shape=a.shape)
     tol = params.tolerance if params.tolerance is not None else 1e-15 * g.n
     steps = max(1, math.ceil((math.log(tol) - math.log(2.0)) / math.log(params.alpha)))
-    # A block adds up each column's step in another order than a lone solve
-    # does; two sums of n terms differ by at most 2n unit roundoffs, well
-    # inside `margin`. So a column whose block sum comes within `margin` of
-    # stopping is decided on its own sums, added in the lone order.
+    # The block screen adds up each column's step in another order than a
+    # lone column's pairwise sum; two sums of n terms differ by at most 2n
+    # unit roundoffs, well inside `margin`. So a column whose screen sum
+    # comes within `margin` of stopping is decided on its own pairwise sums.
     margin = 4 * (g.n + 64) * np.finfo(np.float64).eps
+    width = _block_width(g.n)
     cols = s.shape[1]
     out = np.empty((cols, g.n))
     taken = np.empty(cols, dtype=np.int64)
     floored = np.empty(cols, dtype=bool)
-    for lo in range(0, cols, _BLOCK):
-        x = s[:, lo : lo + _BLOCK].toarray(order="C")
+    for lo in range(0, cols, width):
+        x = s[:, lo : lo + width].toarray(order="C")
         # Seeds are sparse, so the teleport term goes to their nonzeros only.
         hot = np.flatnonzero(x)
         teleport = (1.0 - params.alpha) * x.reshape(-1)[hot]
@@ -204,8 +214,12 @@ def _pagerank_columns(
         for k in range(steps):
             x_next = a @ x
             x_next.reshape(-1)[hot] += teleport
-            step = x_next - x
-            delta = np.abs(step, out=step).sum(axis=0)
+            # The step takes the old iterate's buffer, so a block holds three
+            # n x width arrays: x, its step and the step before.
+            step = np.abs(np.subtract(x_next, x, out=x), out=x)
+            # einsum adds a C-order block's columns in one pass at any width,
+            # where sum(axis=0) walks it row by row.
+            delta = np.einsum("ij->j", step)
             x = x_next
             near = (delta <= tol * (1.0 + margin)) | (delta >= floor)
             if near.any():
@@ -226,9 +240,11 @@ def _pagerank_columns(
             last[live] = delta[live]
             taken[capped] = steps
         over = last > tol
-        floored[lo : lo + x.shape[1]] = over
+        floored[lo : lo + len(last)] = over
         for d in last[over]:
             log.debug("pagerank residual floored at %.3g (tolerance %.3g)", d, tol)
+        # Free this block's arrays before the next block's seeds are densified.
+        del x, x_next, step, before
     return out.T, taken, floored
 
 

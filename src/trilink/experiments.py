@@ -12,11 +12,11 @@ node. Every context on one train graph shares a cache that lists the
 triangles once and solves each seeded PageRank vector once. The
 pairwise ``pairseed`` scores come from the single-seed vectors: seeded
 PageRank is linear in the seed, so the pair-seed solution is ½(x_u + x_v).
-Standard link prediction solves the seeds its methods read in one batch
-before scoring. A loeto trial's
-train graph is a subgraph of the parent graph, so its triangles are taken
-from the parent's list (enumerated once per run) rather than enumerated
-again, and only when a method reads them.
+Both harnesses build their contexts on a train graph first, then solve the
+seeds their built-in methods declare in one batch, then score. A loeto
+trial's train graph is a subgraph of the parent graph, so its triangles are
+taken from the parent's list (enumerated once per run) rather than
+enumerated again, and only when a method reads them.
 """
 
 from __future__ import annotations
@@ -388,68 +388,84 @@ class TrialContext:
 Method = Callable[[TrialContext], np.ndarray]
 PAIRWISE_METHODS: dict[str, Method] = {}
 LINKPRED_METHODS: dict[str, Method] = {}
-# The (kind, node) seeds a built-in linkpred method reads when it scores a
-# node of a train graph, so the harness can solve them all in one batch.
-LINKPRED_SEEDS: dict[str, Callable[[Graph, int], list[tuple[str, int]]]] = {}
+_REGISTRIES = {"pairwise": PAIRWISE_METHODS, "linkpred": LINKPRED_METHODS}
+# The (kind, node) seeds a built-in method reads when it scores a context,
+# by registry and method name, so a harness can solve the seeds of all its
+# contexts on one train graph in one batch before scoring.
+SEEDS: dict[tuple[str, str], Callable[[TrialContext], list[tuple[str, int]]]] = {}
 
 
-def _register(registry: dict[str, Method], tag: str, seeds=None):
+def _register(registry: str, tag: str, seeds=None):
     def deco(fn: Method) -> Method:
-        registry[tag] = fn
+        _REGISTRIES[registry][tag] = fn
         if seeds is not None:
-            LINKPRED_SEEDS[tag] = seeds
+            SEEDS[registry, tag] = seeds
         return fn
 
     return deco
 
 
+def _solve_declared(registry: str, named: list[tuple[str, Method]], contexts: Sequence[TrialContext]) -> None:
+    """Solve, in one batch on their shared cache, the seeds that the built-in
+    methods among ``named`` declare for ``contexts``, in first-use order. A
+    custom method, or a built-in replaced in its registry, is solved when it
+    asks."""
+    methods = _REGISTRIES[registry]
+    declared = [
+        SEEDS[registry, name] for name, fn in named if (registry, name) in SEEDS and fn is methods[name]
+    ]
+    if contexts:
+        contexts[0].vectors(key for ctx in contexts for seeds in declared for key in seeds(ctx))
+
+
 def _vector(ctx: TrialContext, kind: str, node: int) -> np.ndarray:
-    # One seed per solve: a two-column sparse product costs about twice two
-    # one-column ones (GPA-20k, 40 seeds: 0.43 s in pairs, 0.23 s alone).
     return ctx.vectors([(kind, node)])[(kind, node)]
 
 
-def _single(ctx: TrialContext, node: int) -> np.ndarray:
-    return _vector(ctx, "single", node)
+def _endpoints(ctx: TrialContext) -> list[tuple[str, int]]:
+    return [("single", ctx.u), ("single", ctx.v)]
 
 
-def _closed_singles(train: Graph, i: int) -> list[tuple[str, int]]:
-    return [("single", j) for j in [i, *train.neighbors(i).tolist()]]
+def _closed_singles(ctx: TrialContext) -> list[tuple[str, int]]:
+    return [("single", j) for j in [ctx.node, *ctx.train.neighbors(ctx.node).tolist()]]
 
 
-@_register(PAIRWISE_METHODS, "pairseed")
+@_register("pairwise", "pairseed", seeds=_endpoints)
 def _m_pairseed(ctx: TrialContext) -> np.ndarray:
     # Linearity in the seed: the pair-seed solution is the endpoints' mean.
-    return (_single(ctx, ctx.u) + _single(ctx, ctx.v)) / 2.0
+    x = ctx.singles([ctx.u, ctx.v])
+    return (x[ctx.u] + x[ctx.v]) / 2.0
 
 
-@_register(PAIRWISE_METHODS, "ss")
+@_register("pairwise", "ss", seeds=lambda ctx: [("single", min(ctx.u, ctx.v))])
 def _m_single_low(ctx: TrialContext) -> np.ndarray:
-    return _single(ctx, min(ctx.u, ctx.v))
+    return _vector(ctx, "single", min(ctx.u, ctx.v))
 
 
-@_register(PAIRWISE_METHODS, "ss-high")
+@_register("pairwise", "ss-high", seeds=lambda ctx: [("single", max(ctx.u, ctx.v))])
 def _m_single_high(ctx: TrialContext) -> np.ndarray:
-    return _single(ctx, max(ctx.u, ctx.v))
+    return _vector(ctx, "single", max(ctx.u, ctx.v))
 
 
-@_register(PAIRWISE_METHODS, "max")
+@_register("pairwise", "max", seeds=_endpoints)
 def _m_max(ctx: TrialContext) -> np.ndarray:
-    return np.maximum(_single(ctx, ctx.u), _single(ctx, ctx.v))
+    x = ctx.singles([ctx.u, ctx.v])
+    return np.maximum(x[ctx.u], x[ctx.v])
 
 
-@_register(PAIRWISE_METHODS, "mul")
+@_register("pairwise", "mul", seeds=_endpoints)
 def _m_mul(ctx: TrialContext) -> np.ndarray:
-    return _single(ctx, ctx.u) * _single(ctx, ctx.v)
+    x = ctx.singles([ctx.u, ctx.v])
+    return x[ctx.u] * x[ctx.v]
 
 
-@_register(PAIRWISE_METHODS, "trpr")
+@_register("pairwise", "trpr")
 def _m_trpr(ctx: TrialContext) -> np.ndarray:
     seed = make_seed(ctx.train, "pair", ctx.u, ctx.v)
     return trpr(ctx.train, ctx.triangles, seed, ctx.params, weighted=False).values
 
 
-@_register(PAIRWISE_METHODS, "trprw")
+@_register("pairwise", "trprw")
 def _m_trprw(ctx: TrialContext) -> np.ndarray:
     seed = make_seed(ctx.train, "pair", ctx.u, ctx.v)
     return trpr(ctx.train, ctx.triangles, seed, ctx.params, weighted=True).values
@@ -466,8 +482,8 @@ for _tag in LOCAL_METHODS:
     PAIRWISE_METHODS[_tag] = _make_local(_tag)
 
 
-@_register(PAIRWISE_METHODS, "oracle")
-@_register(LINKPRED_METHODS, "oracle")
+@_register("pairwise", "oracle")
+@_register("linkpred", "oracle")
 def _m_oracle(ctx: TrialContext) -> np.ndarray:
     # Harness upper bound: score 1 exactly on the ground truth.
     vals = np.zeros(ctx.train.n)
@@ -475,26 +491,26 @@ def _m_oracle(ctx: TrialContext) -> np.ndarray:
     return vals
 
 
-@_register(PAIRWISE_METHODS, "antioracle")
+@_register("pairwise", "antioracle")
 def _m_antioracle(ctx: TrialContext) -> np.ndarray:
     vals = np.zeros(ctx.train.n)
     vals[list(ctx.truth)] = -1.0
     return vals
 
 
-@_register(LINKPRED_METHODS, "single", seeds=lambda train, i: [("single", i)])
+@_register("linkpred", "single", seeds=lambda ctx: [("single", ctx.node)])
 def _lp_single(ctx: TrialContext) -> np.ndarray:
-    return _single(ctx, ctx.node)
+    return _vector(ctx, "single", ctx.node)
 
 
-@_register(LINKPRED_METHODS, "sum", seeds=lambda train, i: [("weighted-star", i)])
+@_register("linkpred", "sum", seeds=lambda ctx: [("weighted-star", ctx.node)])
 def _lp_sum(ctx: TrialContext) -> np.ndarray:
     # Aggregating the pair-seed vectors of all incident edges collapses, by
     # linearity, to one solve with the degree-weighted closed neighborhood.
     return _vector(ctx, "weighted-star", ctx.node)
 
 
-@_register(LINKPRED_METHODS, "max", seeds=_closed_singles)
+@_register("linkpred", "max", seeds=_closed_singles)
 def _lp_max(ctx: TrialContext) -> np.ndarray:
     i = ctx.node
     nbrs = [int(j) for j in ctx.train.neighbors(i)]
@@ -504,7 +520,7 @@ def _lp_max(ctx: TrialContext) -> np.ndarray:
     return np.maximum.reduce(pair_vectors)
 
 
-@_register(LINKPRED_METHODS, "max-singles", seeds=_closed_singles)
+@_register("linkpred", "max-singles", seeds=_closed_singles)
 def _lp_max_singles(ctx: TrialContext) -> np.ndarray:
     i = ctx.node
     nbrs = [int(j) for j in ctx.train.neighbors(i)]
@@ -512,12 +528,12 @@ def _lp_max_singles(ctx: TrialContext) -> np.ndarray:
     return np.maximum.reduce([vecs[j] for j in [i] + nbrs])
 
 
-@_register(LINKPRED_METHODS, "star", seeds=lambda train, i: [("star", i)])
+@_register("linkpred", "star", seeds=lambda ctx: [("star", ctx.node)])
 def _lp_star(ctx: TrialContext) -> np.ndarray:
     return _vector(ctx, "star", ctx.node)
 
 
-@_register(LINKPRED_METHODS, "trpr")
+@_register("linkpred", "trpr")
 def _lp_trpr(ctx: TrialContext) -> np.ndarray:
     seed = make_seed(ctx.train, "star", ctx.node)
     return trpr(ctx.train, ctx.triangles, seed, ctx.params).values
@@ -644,10 +660,14 @@ def run_pairwise_experiment(
 
     Trials on one train graph (every holdout/temporal trial, or one loeto
     trial) share a :class:`TrialContext` cache, so the triangles are listed
-    once and each endpoint's single-seed vector is solved once, in its own
-    one-column solve. ``pairseed``, ``ss``, ``max`` and ``mul`` all read
-    those vectors; ``pairseed`` is ½(x_u + x_v), which equals the pair-seed
-    solution by linearity, so its scores do not depend on the other methods.
+    once and each endpoint's single-seed vector is solved once.
+    holdout/temporal draw every trial first, then solve the seeds that the
+    built-in methods declare (``SEEDS``) for all scored trials in one batch;
+    a loeto trial solves its endpoints in one two-column batch. Custom
+    methods are solved when they ask. ``pairseed``, ``ss``, ``max`` and
+    ``mul`` all read those vectors; ``pairseed`` is ½(x_u + x_v), which
+    equals the pair-seed solution by linearity, so its scores do not depend
+    on the other methods. Each batch column is bit-equal to a lone solve.
     loeto enumerates the parent graph's triangles once, to draw seed edges;
     each trial takes its train graph's triangles from that list
     (:func:`~trilink.triangles.subgraph_triangles`, array-equal to a fresh
@@ -681,12 +701,16 @@ def run_pairwise_experiment(
         if not eligible:
             raise DataError("no eligible seed edges in the training graph")
         shared = TrialContext(split.train, params)
-
-        def make_trial(i: int):
+        drawn = []
+        for i in range(trials):
             rng = np.random.default_rng(children[i + 1])
             u, v = eligible[rng.integers(len(eligible))]
-            truth = ground_truth(split, (u, v), base_policy)
-            return shared, u, v, truth, 0
+            drawn.append(replace(shared, u=u, v=v, truth=ground_truth(split, (u, v), base_policy)))
+        # A trial with empty truth is never scored, so its seeds are not solved.
+        _solve_declared("pairwise", named, [ctx for ctx in drawn if ctx.truth])
+
+        def make_trial(i: int):
+            return drawn[i], 0
 
     else:  # loeto
         ts_full = enumerate_triangles(g)
@@ -708,8 +732,10 @@ def run_pairwise_experiment(
                 if not truth:
                     rejected += 1
                     continue
-                ctx = TrialContext(lsplit.train, params, cache={"parent": (ts_full, g)})
-                return ctx, tu, tv, truth, rejected
+                cache = {"parent": (ts_full, g)}
+                ctx = TrialContext(lsplit.train, params, cache=cache, u=tu, v=tv, truth=truth)
+                _solve_declared("pairwise", named, [ctx])
+                return ctx, rejected
             return None
 
     details: list[TrialReport] = []
@@ -721,10 +747,11 @@ def run_pairwise_experiment(
             failed += 1
             discards += 50
             continue
-        base, u, v, truth, rejected = made
+        ctx, rejected = made
         discards += rejected
-        cands = candidate_nodes(base.train, u, v, base_policy.rule)
-        ctx = replace(base, u=u, v=v, truth=truth, candidates=cands)
+        u, v, truth = ctx.u, ctx.v, ctx.truth
+        cands = candidate_nodes(ctx.train, u, v, base_policy.rule)
+        ctx = replace(ctx, candidates=cands)
         lab = ctx.train.labels
         for name, fn in named:
             best = _best_truth_rank(_method_output(name, fn(ctx), ctx.train.n), cands, truth) if truth else -1
@@ -733,7 +760,7 @@ def run_pairwise_experiment(
             )
         digests.append(ctx.digest())
         # Free this trial's train graph and cache before the next split.
-        del made, base, ctx
+        del made, ctx
 
     completed = trials - failed
     summary = []
@@ -811,7 +838,7 @@ def run_standard_linkpred(
     single-seed baseline, including the mean signed distance to the y = x
     diagonal of the method-vs-baseline AUC scatter. Cohort nodes are scored
     in order; before scoring, the seeds that the built-in methods declare
-    (``LINKPRED_SEEDS``) are solved for every scored node in one batch.
+    (``SEEDS``) are solved for every scored node in one batch.
     """
     if num_nodes < 1:
         raise ValueError("num_nodes must be >= 1")
@@ -829,7 +856,8 @@ def run_standard_linkpred(
     if len(cohort) < num_nodes:
         log.warning("cohort shrunk to %d nodes (graph too small)", len(cohort))
 
-    scored = []
+    basis = TrialContext(train, params)
+    contexts = []
     for i in cohort:
         mask = np.ones(train.n, dtype=bool)
         mask[train.neighbors(i)] = False
@@ -837,22 +865,16 @@ def run_standard_linkpred(
         cands = np.flatnonzero(mask)
         positives = frozenset(adj.get(i, set()))
         if positives and len(positives) < len(cands):
-            scored.append((i, cands, positives))
-    skipped = len(cohort) - len(scored)
-
-    basis = TrialContext(train, params)
-    # Solve every seed the built-in methods read on the scored nodes in one
-    # batch, which shares each sparse sweep across columns.
-    declared = [
-        LINKPRED_SEEDS[name] for name, fn in named if name in LINKPRED_SEEDS and fn is LINKPRED_METHODS[name]
-    ]
-    basis.vectors(key for i, _, _ in scored for seeds in declared for key in seeds(train, i))
+            contexts.append(replace(basis, node=i, candidates=cands, truth=positives))
+    skipped = len(cohort) - len(contexts)
+    _solve_declared("linkpred", named, contexts)
     rows: list[LinkpredNodeRow] = []
     per_method: dict[str, list[float]] = {name: [] for name, _ in named}
     baseline_aucs: list[float] = []
-    for i, cands, positives in scored:
-        ctx = replace(basis, node=i, candidates=cands, truth=positives)
-        res = [(name, auc(_method_output(name, fn(ctx), train.n), positives, cands)) for name, fn in named]
+    for ctx in contexts:
+        i = ctx.node
+        res = [(name, auc(_method_output(name, fn(ctx), train.n), ctx.truth, ctx.candidates))
+               for name, fn in named]
         baseline_aucs.append(dict(res)[LINKPRED_BASELINE])
         for name, a in res:
             rows.append(LinkpredNodeRow(train.labels[i], train.degree(i), name, a))

@@ -32,6 +32,7 @@ from trilink import (
     trpr,
     trpr_iterates,
 )
+from trilink import diffusion as dif
 from trilink import triangles as triangles_mod
 
 import oracles
@@ -252,6 +253,18 @@ def test_pagerank_many_logs_one_summary_line(caplog):
         assert lines[0].endswith(tail)
 
 
+def test_pagerank_many_summary_counts_blocks_of_the_real_width(monkeypatch, caplog):
+    g = largest_connected_component(generate_gpa(GpaParams(p_edge=0.5, steps=600, rng_seed=3)))
+    s = seed_columns(g.n, [make_seed(g, "single", i) for i in (9, 238, 5)])
+    for width, head in ((2, "3 columns in 2 blocks of width 2,"), (64, "3 columns in 1 blocks of width 3,")):
+        monkeypatch.setattr(dif, "_BLOCK_BYTES", 8 * g.n * width)
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="trilink"):
+            pagerank_many(g, s)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("pagerank_many")]
+        assert len(lines) == 1 and lines[0].startswith("pagerank_many: " + head)
+
+
 def test_pagerank_many_stops_where_the_lone_sum_says():
     # numpy adds a column of an n x B block row by row, and a lone column
     # pairwise, so the two L1 sums of one step can differ in the last bit.
@@ -274,6 +287,82 @@ def test_pagerank_many_stops_where_the_lone_sum_says():
     params = DiffusionParams(tolerance=min(lone, in_block))
     alone = pagerank(g, SeedVector({9: 1.0}), params).values
     assert np.array_equal(pagerank_many(g, np.column_stack([s, s]), params)[:, 0], alone)
+
+
+def test_pagerank_many_stops_where_the_lone_sum_says_under_the_einsum_screen():
+    # The block screen adds each column with einsum, in another order than
+    # a lone column's pairwise sum. With the tolerance between the two sums
+    # of one step, the batch must still stop where the pairwise sum says:
+    # at that step if it is within the tolerance, later if not.
+    g = largest_connected_component(generate_gpa(GpaParams(p_edge=0.5, steps=600, rng_seed=3)))
+    s = make_seed(g, "single", 9).dense(g.n)[:, None]
+    scale = (0.85 / g.degrees)[:, None]
+    x = s
+    for k in range(1, 201):
+        x_next = g.adjacency @ (x * scale)
+        x_next[9] += 1.0 - 0.85
+        step = np.abs(x_next - x)
+        lone, screen = step[:, 0].sum(), np.einsum("ij->j", np.column_stack([step, step]))[0]
+        if lone != screen:
+            break
+        x = x_next
+    else:
+        pytest.skip("the two summation orders agree on every step here")
+    for tolerance in (min(lone, screen), max(lone, screen)):
+        params = DiffusionParams(tolerance=tolerance)
+        alone = pagerank(g, SeedVector({9: 1.0}), params).values
+        sols, taken, _ = dif._pagerank_columns(g, seed_columns(g.n, [SeedVector({9: 1.0})] * 2), params)
+        assert np.array_equal(sols[:, 0], alone)
+        assert taken[0] == k if lone <= tolerance else taken[0] > k
+
+
+def _mixed_seeds(g: Graph, count: int) -> list[SeedVector]:
+    kinds = ("single", "pair", "star", "weighted-star")
+    seeds = []
+    for c in range(count):
+        u, kind = c % g.n, kinds[c % 4]
+        seeds.append(make_seed(g, kind, u, int(g.neighbors(u)[0]) if kind == "pair" else None))
+    return seeds
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 64])
+def test_pagerank_block_width_changes_no_bit(monkeypatch, width):
+    # The block width follows n; whatever it is, each single, pair, star and
+    # weighted-star column takes the steps and has the bits of its lone solve.
+    g = largest_connected_component(generate_gpa(GpaParams(p_edge=0.5, steps=600, rng_seed=3)))
+    seeds = _mixed_seeds(g, 150)
+    params = DiffusionParams()
+    lone = [dif._pagerank_columns(g, seed_columns(g.n, [seed]), params) for seed in seeds]
+    monkeypatch.setattr(dif, "_BLOCK_BYTES", 8 * g.n * width)
+    assert dif._block_width(g.n) == width
+    sols, steps, floored = dif._pagerank_columns(g, seed_columns(g.n, seeds), params)
+    for c, (x, taken, _) in enumerate(lone):
+        assert np.array_equal(sols[:, c], x[:, 0]) and steps[c] == taken[0], c
+    assert not floored.any()
+
+
+def test_pagerank_block_width_follows_n():
+    # Three n x width blocks stay within 1.5 MiB, and the width is 1 to 64.
+    assert [dif._block_width(n) for n in (10, 1024, 2171, 7850, 10068, 10**6)] == [64, 64, 30, 8, 6, 1]
+
+
+@pytest.mark.parametrize("width", [16, 64])
+def test_pagerank_many_holds_three_block_arrays(monkeypatch, width):
+    # Past its n x k output, a solve holds three n x width arrays (the
+    # iterate, its step and the step before) plus its scaled copy of the
+    # adjacency's values and a little slack: no fresh step array per step,
+    # and nothing left over from the previous block.
+    g = largest_connected_component(generate_gpa(GpaParams(p_edge=0.5, steps=3000, rng_seed=3)))
+    s = seed_columns(g.n, _mixed_seeds(g, 150))
+    pagerank_many(g, s)
+    monkeypatch.setattr(dif, "_BLOCK_BYTES", 8 * g.n * width)
+    tracemalloc.start()
+    try:
+        got = pagerank_many(g, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < got.nbytes + 3 * 8 * g.n * width + 8 * g.adjacency.nnz + 64 * 1024
 
 
 def test_pagerank_tight_tolerance_stops_at_the_rounding_floor(caplog):

@@ -744,6 +744,63 @@ def test_pairseed_bits_independent_of_how_singles_were_requested(monkeypatch):
         assert np.array_equal(a, b)
 
 
+def _count_batches(monkeypatch) -> list[int]:
+    # The column count of each pagerank_many call the harnesses make.
+    import trilink.experiments as ex
+
+    batches = []
+    batch = ex.pagerank_many
+    monkeypatch.setattr(ex, "pagerank_many", lambda g, s, p: batches.append(s.shape[1]) or batch(g, s, p))
+    return batches
+
+
+def _timestamped(g):
+    # g's edges as a timestamped edge list, in a shuffled time order.
+    lab = g.labels
+    edges = g.edge_array()[np.random.default_rng(5).permutation(g.m)]
+    return EdgeList(tuple((lab[u], lab[v]) for u, v in edges.tolist()), tuple(range(g.m)))
+
+
+@pytest.mark.parametrize("protocol", ["holdout", "temporal", "loeto"])
+def test_planned_solves_score_as_lazy_ones(protocol, monkeypatch):
+    # The built-in methods by name have their seeds solved in one planned
+    # batch; the same functions as custom (name, fn) pairs are solved when
+    # they ask. Both give the same rows and trials.
+    import trilink.experiments as ex
+
+    g = small_gpa(steps=400)
+    data = _timestamped(g) if protocol == "temporal" else g
+    names = ["ss", "pairseed", "ss-high", "max", "mul", "js", "oracle"]
+    wrapped = [(name, lambda ctx, fn=ex.PAIRWISE_METHODS[name]: fn(ctx)) for name in names]
+    kw = dict(k_values=(5, 25), trials=12, rng_seed=21)
+    batches = _count_batches(monkeypatch)
+    planned = run_pairwise_experiment(data, protocol, names, **kw)
+    planned_batches = list(batches)
+    lazy = run_pairwise_experiment(data, protocol, wrapped, **kw)
+    assert len(batches) - len(planned_batches) > len(planned_batches)
+    assert planned.details == lazy.details
+    assert planned.summary == lazy.summary
+    assert planned.metadata == lazy.metadata
+
+
+@pytest.mark.parametrize("protocol, allow_empty_truth",
+                         [("holdout", False), ("holdout", True), ("loeto", False)])
+def test_pairwise_solves_each_train_graphs_endpoints_in_one_batch(protocol, allow_empty_truth, monkeypatch):
+    # holdout: one pagerank_many call on its train graph, one column per
+    # distinct endpoint of the scored trials (a trial with empty truth is
+    # not scored, so its endpoints are not solved). loeto: one two-column
+    # call per trial.
+    batches = _count_batches(monkeypatch)
+    res = run_pairwise_experiment(small_gpa(steps=400), protocol, DEFAULT_PAIRWISE_METHODS, trials=40,
+                                  rng_seed=7, allow_empty_truth=allow_empty_truth)
+    if protocol == "loeto":
+        assert batches == [2] * res.metadata["trials_completed"]
+        return
+    read = {x for r in res.details if r.truth_count for x in (r.seed_u, r.seed_v)}
+    assert batches == [len(read)]
+    assert any(r.truth_count == 0 for r in res.details) == allow_empty_truth
+
+
 def test_triangles_enumerated_once_per_train_graph(monkeypatch):
     import trilink.experiments as ex
 
