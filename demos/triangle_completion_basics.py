@@ -51,28 +51,28 @@ def show(name, values, k=4):
 # neighborhood (the union of both endpoints' neighborhoods).
 print("top candidates, hubs excluded")
 for method in ("js", "aa", "pa", "aa-mul"):
-    show(method, score_all_nodes(g, (u, v), method).values)
+    show(method, score_all_nodes(g, (u, v), method))
 
 # --- diffusion scores ----------------------------------------------------------
 
 params = DiffusionParams(alpha=0.85, iterations=10)
 
 pair = pair_seeded_pagerank(g, u, v, params)
-show("pair-seeded pagerank", pair.values)
+show("pair-seeded pagerank", pair)
 
 # The triangle-reinforced iteration reweights edges by how much triangle
 # mass flows over them, so the friend ring amplifies the outsider.
 reinforced = trpr(g, ts, make_seed(g, "pair", u, v), params)
-show("triangle-reinforced", reinforced.values)
+show("triangle-reinforced", reinforced)
 
 print("\nreinforced scores:")
 for label in ("hub1", "hub2", "outsider", "friend1"):
-    print(f"  {label:>9}: {reinforced.values[ix[label]]:.3f}")
+    print(f"  {label:>9}: {reinforced[ix[label]]:.3f}")
 
-out = reinforced.values[ix["outsider"]]
-friend = reinforced.values[ix["friend1"]]
+out = reinforced[ix["outsider"]]
+friend = reinforced[ix["friend1"]]
 print(f"\nthe outsider outranks every friend: {out:.3f} > {friend:.3f}")
 assert out > friend
 
 # Mass is conserved: the scores form a probability distribution.
-print(f"score mass: {reinforced.values.sum():.12f}")
+print(f"score mass: {reinforced.sum():.12f}")

@@ -29,6 +29,7 @@ from .experiments import (
     DEFAULT_PAIRWISE_METHODS,
     run_pairwise_experiment,
     run_standard_linkpred,
+    write_json,
     write_linkpred_reports,
     write_pairwise_reports,
 )
@@ -45,6 +46,12 @@ from .triangles import enumerate_triangles
 
 
 class _Parser(argparse.ArgumentParser):
+    # Flags are spelled in full: an abbreviation such as --conf would parse,
+    # yet slip past the --config scan of _config_path. Subcommand parsers
+    # are built with this class too, so they refuse abbreviations as well.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with 2 on usage errors; we reserve 2 for data errors.
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -289,9 +296,7 @@ def cmd_diagnose(args) -> int:
         "weighted": args.weighted,
     }
     meta_path = os.path.join(args.out_dir, "diagnose_metadata.json")
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta_path, meta)
     print(f"seed edge: ({g.labels[u]}, {g.labels[v]})")
     print(f"wrote {path}")
     print(f"wrote {meta_path}")
@@ -325,9 +330,7 @@ def cmd_gen_gpa(args) -> int:
         "edges": g.m,
     }
     meta_path = f"{args.out}.meta.json"
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta_path, meta)
     print(f"wrote {args.out} (n={g.n}, m={g.m})")
     print(f"wrote {meta_path}")
     return 0

@@ -78,17 +78,6 @@ class SeedVector:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class ScoreVector:
-    """Dense per-node scores plus a provenance tag naming the method."""
-
-    values: np.ndarray
-    method: str
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def seed_columns(n: int, seeds: Sequence[SeedVector]) -> sp.csc_array:
     """The sparse n x k matrix whose columns are ``seeds``, in order."""
     indptr = np.cumsum([0] + [len(s.entries) for s in seeds])
@@ -135,7 +124,7 @@ def _walk_degrees(g: Graph) -> np.ndarray:
     return deg
 
 
-def pagerank(g: Graph, seed: SeedVector, params: DiffusionParams = DiffusionParams()) -> ScoreVector:
+def pagerank(g: Graph, seed: SeedVector, params: DiffusionParams = DiffusionParams()) -> np.ndarray:
     """Seeded PageRank by power iteration.
 
     Returns the iterate of the first step whose L1 size is within the
@@ -145,7 +134,7 @@ def pagerank(g: Graph, seed: SeedVector, params: DiffusionParams = DiffusionPara
     floor. At most ceil(log(tol / 2) / log(alpha)) steps are taken.
     """
     x, _, _ = _pagerank_columns(g, seed_columns(g.n, [seed]), params)
-    return ScoreVector(x[:, 0], "pagerank")
+    return x[:, 0]
 
 
 def pagerank_many(g: Graph, seeds, params: DiffusionParams = DiffusionParams()) -> np.ndarray:
@@ -248,17 +237,13 @@ def _pagerank_columns(
     return out.T, taken, floored
 
 
-def single_seeded_pagerank(g: Graph, u: int, params: DiffusionParams = DiffusionParams()) -> ScoreVector:
-    x = pagerank(g, make_seed(g, "single", u), params)
-    return ScoreVector(x.values, "single")
+def single_seeded_pagerank(g: Graph, u: int, params: DiffusionParams = DiffusionParams()) -> np.ndarray:
+    return pagerank(g, make_seed(g, "single", u), params)
 
 
-def pair_seeded_pagerank(
-    g: Graph, u: int, v: int, params: DiffusionParams = DiffusionParams()
-) -> ScoreVector:
+def pair_seeded_pagerank(g: Graph, u: int, v: int, params: DiffusionParams = DiffusionParams()) -> np.ndarray:
     """PageRank with teleport mass split half/half over an edge's endpoints."""
-    x = pagerank(g, make_seed(g, "pair", u, v), params)
-    return ScoreVector(x.values, "pairseed")
+    return pagerank(g, make_seed(g, "pair", u, v), params)
 
 
 def trpr_iterates(
@@ -308,7 +293,7 @@ def trpr(
     seed: SeedVector,
     params: DiffusionParams = DiffusionParams(),
     weighted: bool = False,
-) -> ScoreVector:
+) -> np.ndarray:
     """Triangle-reinforced PageRank: a fixed number of reweighted power steps.
 
     Runs exactly ``params.iterations`` steps (no convergence test); the
@@ -317,21 +302,7 @@ def trpr(
     x = seed.dense(g.n)
     for _, x, _, _ in trpr_iterates(g, ts, seed, params, weighted):
         pass
-    return ScoreVector(x, "trprw" if weighted else "trpr")
-
-
-def combine_scores(a: ScoreVector, b: ScoreVector, mode: str) -> ScoreVector:
-    """Element-wise max or product of two score vectors."""
-    if len(a.values) != len(b.values):
-        raise ValueError("score vectors differ in length")
-    m = mode.lower()
-    if m == "max":
-        vals = np.maximum(a.values, b.values)
-    elif m == "mul":
-        vals = a.values * b.values
-    else:
-        raise ValueError(f"mode must be 'max' or 'mul', got {mode!r}")
-    return ScoreVector(vals, f"{m}({a.method},{b.method})")
+    return x
 
 
 def convergence_trace(
@@ -420,11 +391,7 @@ def _kendall_tau_b(dx: np.ndarray, xtie: int, dy: np.ndarray, ytie: int) -> floa
     return float(min(1.0, max(-1.0, tau)))
 
 
-def rank_stability(
-    x_prev: ScoreVector | np.ndarray,
-    x_next: ScoreVector | np.ndarray,
-    top_k: int | None = None,
-) -> tuple[float, float]:
+def rank_stability(x_prev: np.ndarray, x_next: np.ndarray, top_k: int | None = None) -> tuple[float, float]:
     """(Spearman rho, Kendall tau-b) between two score vectors.
 
     With ``top_k`` set, correlation is computed over the union of the two
@@ -434,8 +401,8 @@ def rank_stability(
     entry. Both statistics equal scipy's ``spearmanr`` and ``kendalltau``
     bit for bit.
     """
-    va = np.asarray(x_prev.values if isinstance(x_prev, ScoreVector) else x_prev, dtype=np.float64)
-    vb = np.asarray(x_next.values if isinstance(x_next, ScoreVector) else x_next, dtype=np.float64)
+    va = np.asarray(x_prev, dtype=np.float64)
+    vb = np.asarray(x_next, dtype=np.float64)
     if va.shape != vb.shape:
         raise ValueError("score vectors differ in length")
     if top_k is not None:

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .diffusion import DiffusionParams, ScoreVector, _ranks, make_seed, pagerank_many, seed_columns, trpr
+from .diffusion import DiffusionParams, _ranks, make_seed, pagerank_many, seed_columns, trpr
 from .graph import (
     DataError,
     EdgeList,
@@ -267,23 +267,18 @@ def _best_truth_rank(values: np.ndarray, candidates: np.ndarray, truth: frozense
 
 
 def success_probability(
-    scores: ScoreVector | np.ndarray,
-    split: SplitDataset,
-    seed_edge: tuple[int, int],
-    policy: EvalPolicy,
+    scores: np.ndarray, split: SplitDataset, seed_edge: tuple[int, int], policy: EvalPolicy
 ) -> TrialReport:
     """Top-k hit indicator for one scored seed edge."""
     u, v = seed_edge
     truth = ground_truth(split, seed_edge, policy)
     if not truth:
         raise ValueError("ground truth is empty; filter such trials before scoring")
-    values = scores.values if isinstance(scores, ScoreVector) else np.asarray(scores)
     cands = candidate_nodes(split.train, u, v, policy.rule)
-    best = _best_truth_rank(values, cands, truth)
-    method = scores.method if isinstance(scores, ScoreVector) else "scores"
+    best = _best_truth_rank(np.asarray(scores), cands, truth)
     lab = split.train.labels
     return TrialReport(
-        method=method,
+        method="scores",
         k=policy.k,
         seed_u=lab[u],
         seed_v=lab[v],
@@ -293,11 +288,10 @@ def success_probability(
     )
 
 
-def auc(scores: ScoreVector | np.ndarray, positives: Iterable[int], candidates: np.ndarray) -> float:
+def auc(scores: np.ndarray, positives: Iterable[int], candidates: np.ndarray) -> float:
     """Probability that a random positive outranks a random negative among
     the candidates, ties counted half (Mann-Whitney); nan if a candidate's
     score is NaN."""
-    values = scores.values if isinstance(scores, ScoreVector) else np.asarray(scores)
     candidates = np.asarray(candidates, dtype=np.int64)
     pos = np.asarray(sorted(set(int(p) for p in positives)), dtype=np.int64)
     if len(pos) == 0:
@@ -308,7 +302,7 @@ def auc(scores: ScoreVector | np.ndarray, positives: Iterable[int], candidates: 
     n_neg = len(candidates) - len(pos)
     if n_neg == 0:
         raise ValueError("no negative examples")
-    v = values[candidates]
+    v = np.asarray(scores)[candidates]
     if np.isnan(v).any():
         return math.nan
     ranks = _ranks(v)[0]
@@ -462,18 +456,18 @@ def _m_mul(ctx: TrialContext) -> np.ndarray:
 @_register("pairwise", "trpr")
 def _m_trpr(ctx: TrialContext) -> np.ndarray:
     seed = make_seed(ctx.train, "pair", ctx.u, ctx.v)
-    return trpr(ctx.train, ctx.triangles, seed, ctx.params, weighted=False).values
+    return trpr(ctx.train, ctx.triangles, seed, ctx.params, weighted=False)
 
 
 @_register("pairwise", "trprw")
 def _m_trprw(ctx: TrialContext) -> np.ndarray:
     seed = make_seed(ctx.train, "pair", ctx.u, ctx.v)
-    return trpr(ctx.train, ctx.triangles, seed, ctx.params, weighted=True).values
+    return trpr(ctx.train, ctx.triangles, seed, ctx.params, weighted=True)
 
 
 def _make_local(tag: str) -> Method:
     def fn(ctx: TrialContext) -> np.ndarray:
-        return score_all_nodes(ctx.train, (ctx.u, ctx.v), tag).values
+        return score_all_nodes(ctx.train, (ctx.u, ctx.v), tag)
 
     return fn
 
@@ -536,7 +530,7 @@ def _lp_star(ctx: TrialContext) -> np.ndarray:
 @_register("linkpred", "trpr")
 def _lp_trpr(ctx: TrialContext) -> np.ndarray:
     seed = make_seed(ctx.train, "star", ctx.node)
-    return trpr(ctx.train, ctx.triangles, seed, ctx.params).values
+    return trpr(ctx.train, ctx.triangles, seed, ctx.params)
 
 
 DEFAULT_PAIRWISE_METHODS = (
@@ -916,6 +910,13 @@ def run_standard_linkpred(
 # report files
 
 
+def write_json(path, obj) -> None:
+    """Write a JSON sidecar: ``obj`` with sorted keys, indented, newline-ended."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_reports(out_dir, prefix: str, tables: dict, metadata: dict) -> dict:
     """Write ``<prefix>_<key>.csv`` for each ``key: (row class, rows)`` table,
     one column per field of the row class, plus the replayable
@@ -930,9 +931,7 @@ def _write_reports(out_dir, prefix: str, tables: dict, metadata: dict) -> dict:
             for row in rows:
                 fh.write(",".join(str(getattr(row, name)) for name in names) + "\n")
     paths["metadata"] = os.path.join(out_dir, f"{prefix}_metadata.json")
-    with open(paths["metadata"], "w", encoding="utf-8") as fh:
-        json.dump(metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(paths["metadata"], metadata)
     return paths
 
 

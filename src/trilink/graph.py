@@ -249,9 +249,26 @@ def to_edge_list(g: Graph) -> EdgeList:
     return EdgeList(tuple((g.labels[u], g.labels[v]) for u, v in arr))
 
 
+def _check_writable(label: Label) -> None:
+    # A label is written as its str() and read back by the loader, so it must
+    # be one whitespace-free field that does not open a comment line, and
+    # _token must give back the same value of the same kind (str "1" would
+    # merge into int 1).
+    text = str(label)
+    back = _token(text)
+    same = back == label and isinstance(back, str) == isinstance(label, str)
+    if text.split() != [text] or text[0] in "#%" or not same:
+        raise DataError(f"label {label!r} would not read back as itself from an edge list")
+
+
 def write_edge_list(path, edges: EdgeList | Graph) -> None:
+    """Write one "u v" (or "u v t") line per edge. Raises DataError, before
+    opening ``path``, on a label that :func:`load_edge_list` would read back
+    as another node or not at all."""
     if isinstance(edges, Graph):
         edges = to_edge_list(edges)
+    for label in {w for pair in edges.pairs for w in pair}:
+        _check_writable(label)
     with open(path, "w", encoding="utf-8") as fh:
         if edges.times is None:
             for u, v in edges.pairs:

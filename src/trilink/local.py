@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diffusion import ScoreVector
 from .graph import Graph, edge_neighborhood
 
 LOCAL_METHODS = ("js", "aa", "pa", "js-max", "js-mul", "aa-max", "aa-mul")
@@ -63,7 +62,7 @@ def _node_entry(g: Graph, w: int, u: int, base: str) -> float:
 def _edge_entry(g: Graph, w: int, edge: tuple[int, int], method: str) -> float:
     _check_distinct(w, *edge)
     g._check_node(w)
-    return float(score_all_nodes(g, edge, method).values[w])
+    return float(score_all_nodes(g, edge, method)[w])
 
 
 def js_node(g: Graph, w: int, u: int) -> float:
@@ -96,7 +95,7 @@ def local_combined(g: Graph, w: int, edge: tuple[int, int], base: str, mode: str
     return _edge_entry(g, w, edge, f"{base}-{mode}")
 
 
-def score_all_nodes(g: Graph, edge: tuple[int, int], method: str) -> ScoreVector:
+def score_all_nodes(g: Graph, edge: tuple[int, int], method: str) -> np.ndarray:
     """Score every node against ``edge`` with one local method.
 
     Entries at the endpoints are -inf so they can never be ranked. The edge
@@ -118,4 +117,4 @@ def score_all_nodes(g: Graph, edge: tuple[int, int], method: str) -> ScoreVector
     else:
         raise ValueError(f"unknown local method {method!r}; expected one of {LOCAL_METHODS}")
     vals[u] = vals[v] = -np.inf
-    return ScoreVector(vals, method)
+    return vals

@@ -62,7 +62,7 @@ def test_couple_graph_trpr_reproduction():
     ix = g.label_index
     ts = enumerate_triangles(g)
     seed = make_seed(g, "pair", ix["b1"], ix["b2"])
-    x = trpr(g, ts, seed, DiffusionParams(alpha=0.85, iterations=10)).values
+    x = trpr(g, ts, seed, DiffusionParams(alpha=0.85, iterations=10))
     blue, red, black = x[ix["b1"]], x[ix["r"]], x[ix["k1"]]
     assert abs(blue - 0.252) <= 0.005
     assert abs(red - 0.120) <= 0.005
@@ -113,7 +113,7 @@ def test_pagerank_closed_form_k2():
     g = build_graph(EdgeList(((0, 1),)))
     worst = 0.0
     for alpha in (0.5, 0.85, 0.99):
-        x = pagerank(g, make_seed(g, "single", 0), DiffusionParams(alpha=alpha)).values
+        x = pagerank(g, make_seed(g, "single", 0), DiffusionParams(alpha=alpha))
         err = max(abs(x[0] - 1 / (1 + alpha)), abs(x[1] - alpha / (1 + alpha)))
         worst = max(worst, err)
         assert err <= 1e-12, f"alpha={alpha}: error {err:.3e}"
@@ -195,7 +195,7 @@ def test_trpr_degeneracy_zero_triangles():
         seed = make_seed(g, "pair", int(e[0]), int(e[1]))
         want = oracles.power_steps(g, seed.dense(g.n), 0.85, 10)
         for weighted in (False, True):
-            got = trpr(g, ts, seed, weighted=weighted).values
+            got = trpr(g, ts, seed, weighted=weighted)
             gap = float(np.abs(got - want).max())
             worst = max(worst, gap)
             assert gap <= 1e-12

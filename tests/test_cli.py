@@ -319,6 +319,24 @@ def test_config_both_spellings_agree(gpa_file, tmp_path):
         assert read(tmp_path / "sep" / name) == read(tmp_path / "eq" / name)
 
 
+def test_abbreviated_flags_are_usage_errors(gpa_file, tmp_path, capsys):
+    # argparse would take --conf for --config, but only the full spelling
+    # has its config file read, so the run would silently use the defaults.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 4, "methods": "pairseed"}))
+    for flag in (["--conf", str(cfg)], [f"--conf={cfg}"], ["--tri", "4"]):
+        out = tmp_path / "abbrev"
+        rc = main(["pairwise", "--input", str(gpa_file), *flag, "--out-dir", str(out)])
+        assert rc == 1, flag
+        assert not out.exists()
+        assert "unrecognized arguments" in capsys.readouterr().err
+    for name, flag in {"sep": ["--config", str(cfg)], "eq": [f"--config={cfg}"]}.items():
+        rc = main(["pairwise", "--input", str(gpa_file), *flag, "--out-dir", str(tmp_path / name)])
+        assert rc == 0
+        meta = json.loads((tmp_path / name / "pairwise_metadata.json").read_text())
+        assert (meta["trials_requested"], meta["methods"]) == (4, ["pairseed"])
+
+
 def test_config_unknown_key_is_a_data_error(gpa_file, tmp_path, capsys):
     cfg = tmp_path / "typo.json"
     cfg.write_text(json.dumps({"max-iter": 3}))

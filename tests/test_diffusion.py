@@ -10,11 +10,9 @@ from trilink import (
     DiffusionParams,
     EdgeList,
     Graph,
-    ScoreVector,
     SeedVector,
     TriangleSet,
     build_graph,
-    combine_scores,
     convergence_trace,
     enumerate_triangles,
     generate_gpa,
@@ -99,26 +97,26 @@ def test_star_seed_isolated_node_errors():
 def test_pagerank_k2_closed_form(k2):
     for alpha in (0.5, 0.85, 0.99):
         x = pagerank(k2, make_seed(k2, "single", 0), DiffusionParams(alpha=alpha))
-        assert abs(x.values[0] - 1 / (1 + alpha)) < 1e-12
-        assert abs(x.values[1] - alpha / (1 + alpha)) < 1e-12
+        assert abs(x[0] - 1 / (1 + alpha)) < 1e-12
+        assert abs(x[1] - alpha / (1 + alpha)) < 1e-12
 
 
 def test_pagerank_uniform_seed_vertex_transitive():
     g = cycle(6)
     seed = SeedVector({i: 1 / 6 for i in range(6)})
     x = pagerank(g, seed)
-    assert np.allclose(x.values, 1 / 6, atol=1e-12)
+    assert np.allclose(x, 1 / 6, atol=1e-12)
 
 
 def test_pagerank_pair_seed_k2_symmetric(k2):
     x = pair_seeded_pagerank(k2, 0, 1)
-    assert np.allclose(x.values, 0.5, atol=1e-12)
+    assert np.allclose(x, 0.5, atol=1e-12)
 
 
 def test_pagerank_mass_and_sign(couple):
     x = pagerank(couple, make_seed(couple, "single", 0))
-    assert abs(x.values.sum() - 1.0) < 1e-9
-    assert (x.values >= 0).all()
+    assert abs(x.sum() - 1.0) < 1e-9
+    assert (x >= 0).all()
 
 
 def test_pagerank_zero_degree_errors():
@@ -139,7 +137,7 @@ def test_pagerank_matches_direct_solve():
 
         g = largest_connected_component(g)
         u = int(rng.integers(g.n))
-        got = pagerank(g, make_seed(g, "single", u)).values
+        got = pagerank(g, make_seed(g, "single", u))
         want = oracles.pagerank_direct(g, make_seed(g, "single", u).dense(g.n), 0.85)
         assert np.allclose(got, want, atol=1e-10)
 
@@ -147,7 +145,7 @@ def test_pagerank_matches_direct_solve():
 def test_pagerank_residual_guarantee(couple):
     params = DiffusionParams(alpha=0.85, tolerance=1e-13)
     seed = make_seed(couple, "pair", 0, 1)
-    x = pagerank(couple, seed, params).values
+    x = pagerank(couple, seed, params)
     deg = couple.degrees.astype(float)
     fixed_point = 0.15 * seed.dense(couple.n) + 0.85 * (couple.adjacency @ (x / deg))
     assert np.abs(fixed_point - x).sum() <= 1e-13
@@ -159,8 +157,8 @@ def test_pagerank_many_matches_single(couple):
     seeds[1, 1] = 1.0
     seeds[[0, 1], 2] = 0.5
     sols = pagerank_many(couple, seeds)
-    assert np.allclose(sols[:, 0], pagerank(couple, SeedVector({0: 1.0})).values, atol=1e-12)
-    assert np.allclose(sols[:, 2], pair_seeded_pagerank(couple, 0, 1).values, atol=1e-12)
+    assert np.allclose(sols[:, 0], pagerank(couple, SeedVector({0: 1.0})), atol=1e-12)
+    assert np.allclose(sols[:, 2], pair_seeded_pagerank(couple, 0, 1), atol=1e-12)
 
 
 def test_pagerank_many_blocks_match_single_solves():
@@ -179,7 +177,7 @@ def test_pagerank_many_blocks_match_single_solves():
     deg = g.degrees.astype(float)
     for c, seed in enumerate(seeds):
         x = sols[:, c]
-        assert np.abs(x - pagerank(g, seed).values).max() <= 1e-12
+        assert np.abs(x - pagerank(g, seed)).max() <= 1e-12
         fixed_point = 0.15 * s[:, c] + 0.85 * (g.adjacency @ (x / deg))
         assert np.abs(fixed_point - x).sum() <= tol
 
@@ -196,7 +194,7 @@ def test_pagerank_many_columns_bit_equal_to_lone_solves():
         seeds.append(make_seed(g, kinds[c % 3], u, v if kinds[c % 3] == "pair" else None))
     sols = pagerank_many(g, np.column_stack([seed.dense(g.n) for seed in seeds]))
     for c, seed in enumerate(seeds):
-        assert np.array_equal(sols[:, c], pagerank(g, seed).values), c
+        assert np.array_equal(sols[:, c], pagerank(g, seed)), c
 
 
 def test_pagerank_column_ignores_its_companions():
@@ -207,7 +205,7 @@ def test_pagerank_column_ignores_its_companions():
     x = make_seed(g, "single", 9).dense(g.n)
     fast = g.degrees / g.degrees.sum()
     slow = make_seed(g, "single", 238).dense(g.n)
-    alone = pagerank(g, SeedVector({9: 1.0})).values
+    alone = pagerank(g, SeedVector({9: 1.0}))
     for other in (fast, slow):
         assert np.array_equal(pagerank_many(g, np.column_stack([x, other]))[:, 0], alone)
         assert np.array_equal(pagerank_many(g, np.column_stack([other, x]))[:, 1], alone)
@@ -285,7 +283,7 @@ def test_pagerank_many_stops_where_the_lone_sum_says():
     else:
         pytest.skip("the two summation orders agree on every step here")
     params = DiffusionParams(tolerance=min(lone, in_block))
-    alone = pagerank(g, SeedVector({9: 1.0}), params).values
+    alone = pagerank(g, SeedVector({9: 1.0}), params)
     assert np.array_equal(pagerank_many(g, np.column_stack([s, s]), params)[:, 0], alone)
 
 
@@ -310,7 +308,7 @@ def test_pagerank_many_stops_where_the_lone_sum_says_under_the_einsum_screen():
         pytest.skip("the two summation orders agree on every step here")
     for tolerance in (min(lone, screen), max(lone, screen)):
         params = DiffusionParams(tolerance=tolerance)
-        alone = pagerank(g, SeedVector({9: 1.0}), params).values
+        alone = pagerank(g, SeedVector({9: 1.0}), params)
         sols, taken, _ = dif._pagerank_columns(g, seed_columns(g.n, [SeedVector({9: 1.0})] * 2), params)
         assert np.array_equal(sols[:, 0], alone)
         assert taken[0] == k if lone <= tolerance else taken[0] > k
@@ -375,7 +373,7 @@ def test_pagerank_tight_tolerance_stops_at_the_rounding_floor(caplog):
         seed = make_seed(g, "pair", 0, int(g.neighbors(0)[0]))
         caplog.clear()
         with caplog.at_level("DEBUG", logger="trilink"):
-            x = pagerank(g, seed, params).values
+            x = pagerank(g, seed, params)
         floored = [r for r in caplog.records if "floored" in r.getMessage()]
         assert len(floored) == 1
         fixed_point = (1 - alpha) * seed.dense(g.n) + alpha * (g.adjacency @ (x / deg))
@@ -385,9 +383,9 @@ def test_pagerank_tight_tolerance_stops_at_the_rounding_floor(caplog):
 def test_pair_seed_linearity(couple):
     for u, v in couple.edge_array():
         u, v = int(u), int(v)
-        pair = pair_seeded_pagerank(couple, u, v).values
-        xu = single_seeded_pagerank(couple, u).values
-        xv = single_seeded_pagerank(couple, v).values
+        pair = pair_seeded_pagerank(couple, u, v)
+        xu = single_seeded_pagerank(couple, u)
+        xv = single_seeded_pagerank(couple, v)
         assert np.abs(2 * pair - xu - xv).max() <= 1e-9
 
 
@@ -397,8 +395,8 @@ def test_pair_ranking_triangle_pendant(triangle_pendant):
     want = oracles.pagerank_direct(
         triangle_pendant, make_seed(triangle_pendant, "pair", ix[1], ix[2]).dense(4), 0.85
     )
-    assert np.allclose(x.values, want, atol=1e-10)
-    assert x.values[ix[4]] < x.values[ix[3]]
+    assert np.allclose(x, want, atol=1e-10)
+    assert x[ix[4]] < x[ix[3]]
     assert want[ix[4]] < want[ix[3]]
 
 
@@ -409,7 +407,7 @@ def test_trpr_couple_scores(couple):
     ix = couple.label_index
     ts = enumerate_triangles(couple)
     seed = make_seed(couple, "pair", ix["b1"], ix["b2"])
-    x = trpr(couple, ts, seed).values
+    x = trpr(couple, ts, seed)
     assert abs(x[ix["r"]] - 0.120) < 0.005
     assert abs(x[ix["k1"]] - 0.062) < 0.005
     assert abs(x[ix["b1"]] - 0.252) < 0.005
@@ -425,7 +423,7 @@ def test_trpr_couple_scores_lower_alpha(couple):
     ix = couple.label_index
     ts = enumerate_triangles(couple)
     seed = make_seed(couple, "pair", ix["b1"], ix["b2"])
-    x = trpr(couple, ts, seed, DiffusionParams(alpha=0.8, iterations=10)).values
+    x = trpr(couple, ts, seed, DiffusionParams(alpha=0.8, iterations=10))
     assert abs(x[ix["r"]] - 0.102) < 0.005
     assert abs(x[ix["k1"]] - 0.063) < 0.005
     assert abs(x[ix["b1"]] - 0.257) < 0.005
@@ -436,7 +434,7 @@ def test_trpr_matches_dense_reference(couple):
     ts = enumerate_triangles(couple)
     seed = make_seed(couple, "pair", ix["b1"], ix["b2"])
     for weighted in (False, True):
-        got = trpr(couple, ts, seed, weighted=weighted).values
+        got = trpr(couple, ts, seed, weighted=weighted)
         want = oracles.trpr_dense(
             couple, ts.triples, seed.dense(couple.n), 0.85, 10, weighted=weighted
         )
@@ -458,7 +456,7 @@ def test_trpr_matches_dense_reference_random_graphs():
         seed = make_seed(g, "pair", u, v)
         params = DiffusionParams(alpha=0.85, iterations=7)
         for weighted in (False, True):
-            got = trpr(g, ts, seed, params, weighted=weighted).values
+            got = trpr(g, ts, seed, params, weighted=weighted)
             want = oracles.trpr_dense(g, ts.triples, seed.dense(g.n), 0.85, 7, weighted=weighted)
             assert np.allclose(got, want, atol=1e-12)
 
@@ -492,7 +490,7 @@ def test_trpr_zero_triangles_is_power_iteration(path3):
     ts = enumerate_triangles(path3)
     seed = make_seed(path3, "pair", 0, 1)
     for weighted in (False, True):
-        got = trpr(path3, ts, seed, weighted=weighted).values
+        got = trpr(path3, ts, seed, weighted=weighted)
         want = oracles.power_steps(path3, seed.dense(3), 0.85, 10)
         assert np.abs(got - want).max() <= 1e-12
 
@@ -516,30 +514,7 @@ def test_trprw_gamma_balances_weights(couple):
         prev = x
 
 
-def test_trpr_provenance(couple):
-    ts = enumerate_triangles(couple)
-    seed = make_seed(couple, "pair", 0, 1)
-    assert trpr(couple, ts, seed).method == "trpr"
-    assert trpr(couple, ts, seed, weighted=True).method == "trprw"
-
-
-# --- combinations and diagnostics -------------------------------------------
-
-
-def test_combine_scores(k2):
-    xu = single_seeded_pagerank(k2, 0)
-    xv = single_seeded_pagerank(k2, 1)
-    assert np.array_equal(combine_scores(xu, xu, "max").values, xu.values)
-    zero = ScoreVector(np.zeros(2), "zero")
-    assert np.array_equal(combine_scores(xu, zero, "mul").values, np.zeros(2))
-    mul = combine_scores(xu, xv, "mul")
-    want = (1 / 1.85) * (0.85 / 1.85)
-    assert np.allclose(mul.values, want, atol=1e-9)
-    assert mul.method == "mul(single,single)"
-    with pytest.raises(ValueError):
-        combine_scores(xu, ScoreVector(np.zeros(3), "bad"), "max")
-    with pytest.raises(ValueError):
-        combine_scores(xu, xv, "plus")
+# --- diagnostics ---------------------------------------------------------------
 
 
 def test_convergence_trace_zero_triangles(path3):
@@ -635,10 +610,10 @@ def test_star_and_weighted_star_are_affine_in_the_single_vector():
     a = params.alpha
     for i in np.argsort(-g.degrees, kind="stable")[:8].tolist():
         d = g.degree(i)
-        x = single_seeded_pagerank(g, i, params).values
+        x = single_seeded_pagerank(g, i, params)
         e = np.zeros(g.n)
         e[i] = 1.0
-        star = pagerank(g, make_seed(g, "star", i), params).values
-        wstar = pagerank(g, make_seed(g, "weighted-star", i), params).values
+        star = pagerank(g, make_seed(g, "star", i), params)
+        wstar = pagerank(g, make_seed(g, "weighted-star", i), params)
         assert np.abs(star - ((1 + d / a) * x - d * (1 - a) / a * e) / (d + 1)).max() < 1e-10
         assert np.abs(wstar - (x + (x - (1 - a) * e) / a) / 2).max() < 1e-10

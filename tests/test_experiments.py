@@ -10,7 +10,6 @@ from trilink import (
     EdgeList,
     EvalPolicy,
     GpaParams,
-    ScoreVector,
     auc,
     build_graph,
     candidate_nodes,
@@ -21,15 +20,19 @@ from trilink import (
     make_seed,
     pagerank,
     pair_seeded_pagerank,
+    rank_stability,
     run_pairwise_experiment,
     run_standard_linkpred,
     score_all_nodes,
+    single_seeded_pagerank,
     split_holdout,
     split_loeto,
     split_temporal,
     success_probability,
+    trpr,
 )
 from trilink.experiments import TrialContext, _best_truth_rank, _eligible_seed_edges
+from trilink.local import LOCAL_METHODS
 from trilink.triangles import subgraph_triangles, triangle_edges
 
 import oracles
@@ -348,18 +351,47 @@ def test_candidate_rules(couple):
 # --- success probability and auc ----------------------------------------------
 
 
+def test_scoring_functions_return_plain_arrays():
+    # Every predictor returns its n scores as one float64 array, which the
+    # metrics take as it is.
+    split = holdout_like_split([(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6)], [(1, 5), (2, 5)])
+    g = split.train
+    u, v = g.label_index[1], g.label_index[2]
+    pair = make_seed(g, "pair", u, v)
+    ts = enumerate_triangles(g)
+    outs = {
+        "pagerank": pagerank(g, pair),
+        "single": single_seeded_pagerank(g, u),
+        "pairseed": pair_seeded_pagerank(g, u, v),
+        "trpr": trpr(g, ts, pair),
+        "trprw": trpr(g, ts, pair, weighted=True),
+        **{m: score_all_nodes(g, (u, v), m) for m in LOCAL_METHODS},
+    }
+    policy = EvalPolicy(k=1)
+    truth = ground_truth(split, (u, v), policy)
+    cands = candidate_nodes(g, u, v, policy.rule)
+    assert truth == {g.label_index[5]} and len(cands) == 3
+    for name, x in outs.items():
+        assert type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (g.n,), name
+        rep = success_probability(x, split, (u, v), policy)
+        assert rep.method == "scores" and rep.best_rank >= 1, name
+        assert 0.0 <= auc(x, truth, cands) <= 1.0, name
+        rho, tau = rank_stability(x, outs["pagerank"])
+        assert -1.0 <= rho <= 1.0 and -1.0 <= tau <= 1.0, name
+
+
 def test_success_probability_examples():
     split = holdout_like_split([(1, 2), (2, 3), (3, 4), (4, 5)], [(1, 5), (2, 5)])
     ix = split.train.label_index
     policy = EvalPolicy(k=1)
     vals = np.zeros(split.train.n)
     vals[ix[5]] = 1.0
-    rep = success_probability(ScoreVector(vals, "custom"), split, (ix[1], ix[2]), policy)
+    rep = success_probability(vals, split, (ix[1], ix[2]), policy)
     assert (rep.sp, rep.best_rank) == (1, 1)
     # push the truth below the cutoff
     vals2 = np.zeros(split.train.n)
     vals2[ix[4]] = 1.0
-    rep2 = success_probability(ScoreVector(vals2, "custom"), split, (ix[1], ix[2]), policy)
+    rep2 = success_probability(vals2, split, (ix[1], ix[2]), policy)
     assert rep2.sp == 0
     assert rep2.best_rank > 1
 
@@ -574,10 +606,10 @@ def test_linkpred_sum_equals_weighted_star_seed():
     split = split_holdout(g, 0.2, np.random.SeedSequence(4).spawn(1)[0])
     train = split.train
     node = int(np.argmax(train.degrees))
-    vecs = [pair_seeded_pagerank(train, node, int(j)).values for j in train.neighbors(node)]
+    vecs = [pair_seeded_pagerank(train, node, int(j)) for j in train.neighbors(node)]
     agg = np.sum(vecs, axis=0)
     agg = agg / agg.sum()
-    direct = pagerank(train, make_seed(train, "weighted-star", node)).values
+    direct = pagerank(train, make_seed(train, "weighted-star", node))
     assert np.abs(agg - direct).max() <= 1e-9
 
 
@@ -624,7 +656,7 @@ def test_linkpred_solves_its_seeds_in_one_batch(monkeypatch):
     for name, kind in (("star", "star"), ("sum", "weighted-star")):
         assert [i for _, i, _ in seen[name]] == scored
         for g, i, vals in seen[name]:
-            assert np.array_equal(vals, pagerank(g, make_seed(g, kind, i)).values)
+            assert np.array_equal(vals, pagerank(g, make_seed(g, kind, i)))
 
 
 def test_linkpred_rows_and_cohort_shrink():
@@ -709,8 +741,8 @@ def test_pairseed_rows_independent_of_other_methods(protocol, monkeypatch):
     assert len(scored) == 24
     # Same scores either way: the mean of the endpoints' lone pagerank solves.
     for train, u, v, vals in scored:
-        x_u = pagerank(train, make_seed(train, "single", u)).values
-        x_v = pagerank(train, make_seed(train, "single", v)).values
+        x_u = pagerank(train, make_seed(train, "single", u))
+        x_v = pagerank(train, make_seed(train, "single", v))
         assert np.array_equal(vals, (x_u + x_v) / 2.0)
 
 
@@ -828,7 +860,7 @@ def test_context_singles_bit_equal_to_pagerank():
     params = DiffusionParams(alpha=0.8)
     ctx = TrialContext(train, params)
     for i in (0, 7, train.n // 2, train.n - 1):
-        want = pagerank(train, make_seed(train, "single", i), params).values
+        want = pagerank(train, make_seed(train, "single", i), params)
         assert np.array_equal(ctx.singles([i])[i], want)
 
 

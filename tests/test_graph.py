@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from trilink import (
     largest_connected_component,
     load_edge_list,
     to_edge_list,
+    write_edge_list,
 )
 
 import oracles
@@ -125,6 +127,36 @@ def test_round_trip():
         assert set(h.labels) == set(g.labels)
         assert (h.n, h.m) == (g.n, g.m)
         assert _label_edges(h) == _label_edges(g)
+
+
+@pytest.mark.parametrize(
+    "edges, bad",
+    [
+        (build_graph([("1", 2), (1, 3)]), "1"),  # would merge into int 1
+        (build_graph([(1, "#a"), (2, "#a")]), "#a"),  # edge (#a, 2) is written "#a 2", a comment
+        (build_graph([(2, "%b"), (3, "%b")]), "%b"),
+        (EdgeList(((1, "a b"),)), "a b"),  # one label, two fields
+        (EdgeList(((1, "a\tb"),)), "a\tb"),
+        (EdgeList((("", 2),)), ""),
+    ],
+    ids=["str-int-merge", "hash", "percent", "space", "tab", "empty"],
+)
+def test_write_refuses_labels_that_would_not_read_back(tmp_path, edges, bad):
+    path = tmp_path / "edges.tsv"
+    with pytest.raises(DataError, match=re.escape(f"label {bad!r}")):
+        write_edge_list(path, edges)
+    assert not path.exists()
+
+
+def test_write_read_round_trip_keeps_every_label(tmp_path):
+    el = EdgeList(((1, "01"), ("01", "node_a"), (-3, "1_0"), (10, 1), ("x#", "y%")), (5, 4, 3, 2, 1))
+    write_edge_list(tmp_path / "el.tsv", el)
+    assert load_edge_list(tmp_path / "el.tsv", has_timestamps=True) == el
+    g = build_graph(el)
+    write_edge_list(tmp_path / "g.tsv", g)
+    h = build_graph(load_edge_list(tmp_path / "g.tsv"))
+    assert set(h.labels) == set(g.labels)
+    assert _label_edges(h) == _label_edges(g)
 
 
 def test_degrees_and_neighbors(path3):

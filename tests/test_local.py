@@ -85,23 +85,22 @@ def test_combined_scores(triangle_pendant):
 def test_score_all_nodes_two_node_graph(k2):
     # empty edge neighborhood: nothing to rank, endpoints are struck out
     for method in ("js", "aa", "pa", "js-mul", "aa-max"):
-        vals = score_all_nodes(k2, (0, 1), method).values
+        vals = score_all_nodes(k2, (0, 1), method)
         assert vals.shape == (2,)
         assert np.isneginf(vals).all()
 
 
 def test_score_all_nodes_sentinels(k5):
     sv = score_all_nodes(k5, (0, 1), "js")
-    assert sv.values[0] == -np.inf and sv.values[1] == -np.inf
-    top = top_k_indices(sv.values, 3)
+    assert sv[0] == -np.inf and sv[1] == -np.inf
+    top = top_k_indices(sv, 3)
     assert 0 not in top and 1 not in top
 
 
 def test_score_all_nodes_ranking(triangle_pendant):
     ix = triangle_pendant.label_index
     sv = score_all_nodes(triangle_pendant, (ix[1], ix[2]), "js")
-    assert sv.values[ix[4]] > sv.values[ix[3]]
-    assert sv.method == "js"
+    assert sv[ix[4]] > sv[ix[3]]
 
 
 def test_score_all_unknown_method(k5):
@@ -115,8 +114,8 @@ def test_symmetry_in_endpoints():
         g = oracles.random_graph(rng)
         u, v = (int(x) for x in rng.choice(g.n, size=2, replace=False))
         for method in ("js", "aa", "pa", "js-max", "js-mul", "aa-max", "aa-mul"):
-            a = score_all_nodes(g, (u, v), method).values
-            b = score_all_nodes(g, (v, u), method).values
+            a = score_all_nodes(g, (u, v), method)
+            b = score_all_nodes(g, (v, u), method)
             assert np.allclose(a, b, atol=1e-12)
 
 
@@ -125,9 +124,9 @@ def test_ranges_and_pa_identity():
     for _ in range(20):
         g = oracles.random_graph(rng)
         u, v = (int(x) for x in rng.choice(g.n, size=2, replace=False))
-        js = score_all_nodes(g, (u, v), "js").values
-        aa = score_all_nodes(g, (u, v), "aa").values
-        pa = score_all_nodes(g, (u, v), "pa").values
+        js = score_all_nodes(g, (u, v), "js")
+        aa = score_all_nodes(g, (u, v), "aa")
+        pa = score_all_nodes(g, (u, v), "pa")
         others = [w for w in range(g.n) if w not in (u, v)]
         size = len(oracles.edge_nbhd_sets(g, u, v))
         for w in others:
@@ -151,7 +150,7 @@ def test_all_methods_match_set_oracle():
             "aa-mul": lambda w: local_combined(g, w, (u, v), "aa", "mul"),
         }
         for method, fn in scalar.items():
-            dense = score_all_nodes(g, (u, v), method).values
+            dense = score_all_nodes(g, (u, v), method)
             for w in range(g.n):
                 if w in (u, v):
                     assert dense[w] == -np.inf
@@ -167,8 +166,8 @@ def test_all_methods_match_set_oracle():
         for w in set(range(g.n)) - {u, v}:
             for base, node in (("js", js_node), ("aa", aa_node)):
                 a, b = node(g, w, u), node(g, w, v)
-                assert max(a, b) == score_all_nodes(g, (u, v), f"{base}-max").values[w]
-                assert a * b == score_all_nodes(g, (u, v), f"{base}-mul").values[w]
+                assert max(a, b) == score_all_nodes(g, (u, v), f"{base}-max")[w]
+                assert a * b == score_all_nodes(g, (u, v), f"{base}-mul")[w]
             assert pa_node(g, w, u) == g.degree(w) * g.degree(u)
 
 

@@ -180,8 +180,8 @@ def test_best_truth_rank_equals_lexsort_rank(data):
 def test_pair_seed_is_the_mean_of_its_single_seeds(g, data):
     u = data.draw(st.integers(0, g.n - 1))
     v = data.draw(st.integers(0, g.n - 1).filter(lambda w: w != u))
-    pair = pair_seeded_pagerank(g, u, v).values
-    mean = (single_seeded_pagerank(g, u).values + single_seeded_pagerank(g, v).values) / 2.0
+    pair = pair_seeded_pagerank(g, u, v)
+    mean = (single_seeded_pagerank(g, u) + single_seeded_pagerank(g, v)) / 2.0
     assert np.abs(pair - mean).max() <= 1e-12
 
 
