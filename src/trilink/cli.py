@@ -47,7 +47,7 @@ from .triangles import enumerate_triangles
 
 class _Parser(argparse.ArgumentParser):
     # Flags are spelled in full: an abbreviation such as --conf would parse,
-    # yet slip past the --config scan of _config_path. Subcommand parsers
+    # yet slip past the --config lookup of _config_path. Subcommand parsers
     # are built with this class too, so they refuse abbreviations as well.
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
@@ -336,18 +336,12 @@ def cmd_gen_gpa(args) -> int:
     return 0
 
 
-def _config_path(argv: list[str]) -> str | None:
-    """The value of ``--config`` in either spelling (``--config PATH`` or
-    ``--config=PATH``); the last one wins, as argparse would store it."""
-    path = None
-    for i, arg in enumerate(argv):
-        if arg == "--":
-            break
-        if arg.startswith("--config="):
-            path = arg.partition("=")[2]
-        elif arg == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-    return path
+def _config_path(argv: list[str], prog: str) -> str | None:
+    """The value of ``--config``, found by argparse as the full parse will
+    find it: either spelling, the last one wins, nothing after ``--``."""
+    finder = _Parser(prog=prog, add_help=False)
+    finder.add_argument("--config")
+    return finder.parse_known_args(argv)[0].config
 
 
 def _long_flags(sp: argparse.ArgumentParser) -> dict[str, tuple[str, argparse.Action]]:
@@ -364,8 +358,11 @@ def _config_argv(parser: _Parser, argv: list[str]) -> list[str]:
     """``argv`` with the ``--config`` file's values spelled out as flags of
     the chosen subcommand, ahead of the user's flags so those still win, and
     so argparse checks config values as it checks typed ones."""
-    path = _config_path(argv)
-    if path is None or not argv or argv[0] not in parser.subcommands:
+    if not argv or argv[0] not in parser.subcommands:
+        return argv
+    sp = parser.subcommands[argv[0]]
+    path = _config_path(argv, sp.prog)
+    if path is None:
         return argv
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -376,8 +373,7 @@ def _config_argv(parser: _Parser, argv: list[str]) -> list[str]:
         raise DataError(f"config {path} must hold a JSON object")
     # One config may serve several subcommands, so a key only has to name a
     # long flag of one of them; anything else is a typo.
-    known = set().union(*(_long_flags(sp) for sp in parser.subcommands.values()))
-    sp = parser.subcommands[argv[0]]
+    known = set().union(*map(_long_flags, parser.subcommands.values()))
     own = _long_flags(sp)
     tokens = []
     for key, val in cfg.items():

@@ -8,15 +8,18 @@ fell out of that component stay in the record but are flagged unusable.
 
 Both harnesses score methods the same way: a method is a ``(name, fn)``
 pair, and ``fn`` maps a :class:`TrialContext` to one float score per train
-node. Every context on one train graph shares a cache that lists the
-triangles once and solves each seeded PageRank vector once. The
-pairwise ``pairseed`` scores come from the single-seed vectors: seeded
-PageRank is linear in the seed, so the pair-seed solution is ½(x_u + x_v).
-Both harnesses build their contexts on a train graph first, then solve the
-seeds their built-in methods declare in one batch, then score. A loeto
-trial's train graph is a subgraph of the parent graph, so its triangles are
-taken from the parent's list (enumerated once per run) rather than
-enumerated again, and only when a method reads them.
+node. The built-ins are two tables, ``PAIRWISE_METHODS`` and
+``LINKPRED_METHODS``. A PageRank built-in is the ``(kind, node)`` seeds it
+reads plus a step that combines their vectors; ``pairseed``, for one, is
+½(x_u + x_v) of the endpoints' single-seed vectors, which by linearity in
+the seed is the pair-seed solution. ``SEEDS`` is derived from the tables.
+Every context on one train graph shares a cache that lists the triangles
+once and solves each seeded PageRank vector once. Both harnesses build
+their contexts on a train graph first, then solve the seeds their built-in
+methods declare in one batch, then score. A loeto trial's train graph is a
+subgraph of the parent graph, so its triangles are taken from the parent's
+list (enumerated once per run) rather than enumerated again, and only when
+a method reads them.
 """
 
 from __future__ import annotations
@@ -266,16 +269,28 @@ def _best_truth_rank(values: np.ndarray, candidates: np.ndarray, truth: frozense
     return 1 + int(np.count_nonzero(s > best)) + int(np.count_nonzero((s == best) & (candidates < first)))
 
 
+def _method_output(name: str, values, n: int) -> np.ndarray:
+    """A method's scores as float64, checked for shape (n,) and NaN."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (n,):
+        raise ValueError(f"method {name!r} returned shape {values.shape}, expected ({n},)")
+    if np.isnan(values).any():
+        raise ValueError(f"method {name!r} returned NaN scores")
+    return values
+
+
 def success_probability(
     scores: np.ndarray, split: SplitDataset, seed_edge: tuple[int, int], policy: EvalPolicy
 ) -> TrialReport:
-    """Top-k hit indicator for one scored seed edge."""
+    """Top-k hit indicator for one scored seed edge. ``scores`` must hold one
+    score per train node, none of them NaN."""
+    scores = _method_output("scores", scores, split.train.n)
     u, v = seed_edge
     truth = ground_truth(split, seed_edge, policy)
     if not truth:
         raise ValueError("ground truth is empty; filter such trials before scoring")
     cands = candidate_nodes(split.train, u, v, policy.rule)
-    best = _best_truth_rank(np.asarray(scores), cands, truth)
+    best = _best_truth_rank(scores, cands, truth)
     lab = split.train.labels
     return TrialReport(
         method="scores",
@@ -292,6 +307,9 @@ def auc(scores: np.ndarray, positives: Iterable[int], candidates: np.ndarray) ->
     """Probability that a random positive outranks a random negative among
     the candidates, ties counted half (Mann-Whitney); nan if a candidate's
     score is NaN."""
+    scores = np.asarray(scores)
+    if scores.ndim != 1:
+        raise ValueError(f"scores must be 1-D, got shape {scores.shape}")
     candidates = np.asarray(candidates, dtype=np.int64)
     pos = np.asarray(sorted(set(int(p) for p in positives)), dtype=np.int64)
     if len(pos) == 0:
@@ -302,7 +320,7 @@ def auc(scores: np.ndarray, positives: Iterable[int], candidates: np.ndarray) ->
     n_neg = len(candidates) - len(pos)
     if n_neg == 0:
         raise ValueError("no negative examples")
-    v = np.asarray(scores)[candidates]
+    v = scores[candidates]
     if np.isnan(v).any():
         return math.nan
     ranks = _ranks(v)[0]
@@ -380,40 +398,51 @@ class TrialContext:
 
 
 Method = Callable[[TrialContext], np.ndarray]
-PAIRWISE_METHODS: dict[str, Method] = {}
-LINKPRED_METHODS: dict[str, Method] = {}
-_REGISTRIES = {"pairwise": PAIRWISE_METHODS, "linkpred": LINKPRED_METHODS}
-# The (kind, node) seeds a built-in method reads when it scores a context,
-# by registry and method name, so a harness can solve the seeds of all its
-# contexts on one train graph in one batch before scoring.
-SEEDS: dict[tuple[str, str], Callable[[TrialContext], list[tuple[str, int]]]] = {}
+Seeds = Callable[[TrialContext], list[tuple[str, int]]]
 
 
-def _register(registry: str, tag: str, seeds=None):
-    def deco(fn: Method) -> Method:
-        _REGISTRIES[registry][tag] = fn
-        if seeds is not None:
-            SEEDS[registry, tag] = seeds
-        return fn
+def _pagerank_method(seeds: Seeds, combine: Callable[..., np.ndarray]) -> Method:
+    """A method that combines the PageRank vectors of the ``(kind, node)``
+    seeds it reads on a context, in the order ``seeds`` lists them. The
+    harnesses solve the same ``seeds`` for all their contexts in one batch
+    (see ``SEEDS``)."""
 
-    return deco
+    def fn(ctx: TrialContext) -> np.ndarray:
+        return combine(*ctx.vectors(seeds(ctx)).values())
 
-
-def _solve_declared(registry: str, named: list[tuple[str, Method]], contexts: Sequence[TrialContext]) -> None:
-    """Solve, in one batch on their shared cache, the seeds that the built-in
-    methods among ``named`` declare for ``contexts``, in first-use order. A
-    custom method, or a built-in replaced in its registry, is solved when it
-    asks."""
-    methods = _REGISTRIES[registry]
-    declared = [
-        SEEDS[registry, name] for name, fn in named if (registry, name) in SEEDS and fn is methods[name]
-    ]
-    if contexts:
-        contexts[0].vectors(key for ctx in contexts for seeds in declared for key in seeds(ctx))
+    fn.seeds = seeds
+    return fn
 
 
-def _vector(ctx: TrialContext, kind: str, node: int) -> np.ndarray:
-    return ctx.vectors([(kind, node)])[(kind, node)]
+def _trpr_method(seed: Callable[[TrialContext], tuple], weighted: bool = False) -> Method:
+    """TRPR from the :func:`~trilink.diffusion.make_seed` arguments ``seed(ctx)``."""
+
+    def fn(ctx: TrialContext) -> np.ndarray:
+        return trpr(ctx.train, ctx.triangles, make_seed(ctx.train, *seed(ctx)), ctx.params, weighted=weighted)
+
+    return fn
+
+
+def _local_method(tag: str) -> Method:
+    def fn(ctx: TrialContext) -> np.ndarray:
+        return score_all_nodes(ctx.train, (ctx.u, ctx.v), tag)
+
+    return fn
+
+
+def _oracle(score: float) -> Method:
+    """Harness bound: ``score`` exactly on the ground truth, 0 elsewhere."""
+
+    def fn(ctx: TrialContext) -> np.ndarray:
+        vals = np.zeros(ctx.train.n)
+        vals[list(ctx.truth)] = score
+        return vals
+
+    return fn
+
+
+def _same(x: np.ndarray) -> np.ndarray:
+    return x
 
 
 def _endpoints(ctx: TrialContext) -> list[tuple[str, int]]:
@@ -424,113 +453,55 @@ def _closed_singles(ctx: TrialContext) -> list[tuple[str, int]]:
     return [("single", j) for j in [ctx.node, *ctx.train.neighbors(ctx.node).tolist()]]
 
 
-@_register("pairwise", "pairseed", seeds=_endpoints)
-def _m_pairseed(ctx: TrialContext) -> np.ndarray:
+PAIRWISE_METHODS: dict[str, Method] = {
     # Linearity in the seed: the pair-seed solution is the endpoints' mean.
-    x = ctx.singles([ctx.u, ctx.v])
-    return (x[ctx.u] + x[ctx.v]) / 2.0
-
-
-@_register("pairwise", "ss", seeds=lambda ctx: [("single", min(ctx.u, ctx.v))])
-def _m_single_low(ctx: TrialContext) -> np.ndarray:
-    return _vector(ctx, "single", min(ctx.u, ctx.v))
-
-
-@_register("pairwise", "ss-high", seeds=lambda ctx: [("single", max(ctx.u, ctx.v))])
-def _m_single_high(ctx: TrialContext) -> np.ndarray:
-    return _vector(ctx, "single", max(ctx.u, ctx.v))
-
-
-@_register("pairwise", "max", seeds=_endpoints)
-def _m_max(ctx: TrialContext) -> np.ndarray:
-    x = ctx.singles([ctx.u, ctx.v])
-    return np.maximum(x[ctx.u], x[ctx.v])
-
-
-@_register("pairwise", "mul", seeds=_endpoints)
-def _m_mul(ctx: TrialContext) -> np.ndarray:
-    x = ctx.singles([ctx.u, ctx.v])
-    return x[ctx.u] * x[ctx.v]
-
-
-@_register("pairwise", "trpr")
-def _m_trpr(ctx: TrialContext) -> np.ndarray:
-    seed = make_seed(ctx.train, "pair", ctx.u, ctx.v)
-    return trpr(ctx.train, ctx.triangles, seed, ctx.params, weighted=False)
-
-
-@_register("pairwise", "trprw")
-def _m_trprw(ctx: TrialContext) -> np.ndarray:
-    seed = make_seed(ctx.train, "pair", ctx.u, ctx.v)
-    return trpr(ctx.train, ctx.triangles, seed, ctx.params, weighted=True)
-
-
-def _make_local(tag: str) -> Method:
-    def fn(ctx: TrialContext) -> np.ndarray:
-        return score_all_nodes(ctx.train, (ctx.u, ctx.v), tag)
-
-    return fn
-
-
-for _tag in LOCAL_METHODS:
-    PAIRWISE_METHODS[_tag] = _make_local(_tag)
-
-
-@_register("pairwise", "oracle")
-@_register("linkpred", "oracle")
-def _m_oracle(ctx: TrialContext) -> np.ndarray:
-    # Harness upper bound: score 1 exactly on the ground truth.
-    vals = np.zeros(ctx.train.n)
-    vals[list(ctx.truth)] = 1.0
-    return vals
-
-
-@_register("pairwise", "antioracle")
-def _m_antioracle(ctx: TrialContext) -> np.ndarray:
-    vals = np.zeros(ctx.train.n)
-    vals[list(ctx.truth)] = -1.0
-    return vals
-
-
-@_register("linkpred", "single", seeds=lambda ctx: [("single", ctx.node)])
-def _lp_single(ctx: TrialContext) -> np.ndarray:
-    return _vector(ctx, "single", ctx.node)
-
-
-@_register("linkpred", "sum", seeds=lambda ctx: [("weighted-star", ctx.node)])
-def _lp_sum(ctx: TrialContext) -> np.ndarray:
+    "pairseed": _pagerank_method(_endpoints, lambda x_u, x_v: (x_u + x_v) / 2.0),
+    "ss": _pagerank_method(lambda ctx: [("single", min(ctx.u, ctx.v))], _same),
+    "ss-high": _pagerank_method(lambda ctx: [("single", max(ctx.u, ctx.v))], _same),
+    "max": _pagerank_method(_endpoints, np.maximum),
+    "mul": _pagerank_method(_endpoints, np.multiply),
+    "trpr": _trpr_method(lambda ctx: ("pair", ctx.u, ctx.v)),
+    "trprw": _trpr_method(lambda ctx: ("pair", ctx.u, ctx.v), weighted=True),
+    **{tag: _local_method(tag) for tag in LOCAL_METHODS},
+    "oracle": _oracle(1.0),
+    "antioracle": _oracle(-1.0),
+}
+LINKPRED_METHODS: dict[str, Method] = {
+    "single": _pagerank_method(lambda ctx: [("single", ctx.node)], _same),
     # Aggregating the pair-seed vectors of all incident edges collapses, by
     # linearity, to one solve with the degree-weighted closed neighborhood.
-    return _vector(ctx, "weighted-star", ctx.node)
+    "sum": _pagerank_method(lambda ctx: [("weighted-star", ctx.node)], _same),
+    "max": _pagerank_method(
+        _closed_singles, lambda x_i, *x_nbrs: np.maximum.reduce([(x_i + x_j) / 2.0 for x_j in x_nbrs])
+    ),
+    "max-singles": _pagerank_method(_closed_singles, lambda *x: np.maximum.reduce(x)),
+    "star": _pagerank_method(lambda ctx: [("star", ctx.node)], _same),
+    "trpr": _trpr_method(lambda ctx: ("star", ctx.node)),
+    "oracle": _oracle(1.0),
+}
+_REGISTRIES = {"pairwise": PAIRWISE_METHODS, "linkpred": LINKPRED_METHODS}
+# The (kind, node) seeds a built-in method reads when it scores a context,
+# by registry and method name, so a harness can solve the seeds of all its
+# contexts on one train graph in one batch before scoring.
+SEEDS: dict[tuple[str, str], Seeds] = {
+    (registry, name): fn.seeds
+    for registry, methods in _REGISTRIES.items()
+    for name, fn in methods.items()
+    if hasattr(fn, "seeds")
+}
 
 
-@_register("linkpred", "max", seeds=_closed_singles)
-def _lp_max(ctx: TrialContext) -> np.ndarray:
-    i = ctx.node
-    nbrs = [int(j) for j in ctx.train.neighbors(i)]
-    vecs = ctx.singles([i] + nbrs)
-    xi = vecs[i]
-    pair_vectors = [(xi + vecs[j]) / 2.0 for j in nbrs]
-    return np.maximum.reduce(pair_vectors)
-
-
-@_register("linkpred", "max-singles", seeds=_closed_singles)
-def _lp_max_singles(ctx: TrialContext) -> np.ndarray:
-    i = ctx.node
-    nbrs = [int(j) for j in ctx.train.neighbors(i)]
-    vecs = ctx.singles([i] + nbrs)
-    return np.maximum.reduce([vecs[j] for j in [i] + nbrs])
-
-
-@_register("linkpred", "star", seeds=lambda ctx: [("star", ctx.node)])
-def _lp_star(ctx: TrialContext) -> np.ndarray:
-    return _vector(ctx, "star", ctx.node)
-
-
-@_register("linkpred", "trpr")
-def _lp_trpr(ctx: TrialContext) -> np.ndarray:
-    seed = make_seed(ctx.train, "star", ctx.node)
-    return trpr(ctx.train, ctx.triangles, seed, ctx.params)
+def _solve_declared(registry: str, named: list[tuple[str, Method]], contexts: Sequence[TrialContext]) -> None:
+    """Solve, in one batch on their shared cache, the seeds that the built-in
+    methods among ``named`` declare for ``contexts``, in first-use order. A
+    custom ``(name, fn)`` pair, even one that reuses a built-in's name, is
+    solved when it asks."""
+    methods = _REGISTRIES[registry]
+    declared = [
+        SEEDS[registry, name] for name, fn in named if (registry, name) in SEEDS and fn is methods[name]
+    ]
+    if contexts:
+        contexts[0].vectors(key for ctx in contexts for seeds in declared for key in seeds(ctx))
 
 
 DEFAULT_PAIRWISE_METHODS = (
@@ -550,16 +521,6 @@ DEFAULT_PAIRWISE_METHODS = (
 )
 DEFAULT_LINKPRED_METHODS = ("single", "sum", "max", "star", "trpr")
 LINKPRED_BASELINE = "single"
-
-
-def _method_output(name: str, values, n: int) -> np.ndarray:
-    """A method's scores as float64, checked for shape (n,) and NaN."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (n,):
-        raise ValueError(f"method {name!r} returned shape {values.shape}, expected ({n},)")
-    if np.isnan(values).any():
-        raise ValueError(f"method {name!r} returned NaN scores")
-    return values
 
 
 def _check_unique(items: Sequence, what: str) -> None:

@@ -261,14 +261,28 @@ def _check_writable(label: Label) -> None:
         raise DataError(f"label {label!r} would not read back as itself from an edge list")
 
 
+def _check_time(t) -> None:
+    # The loader reads a timestamp with int(), which must give back t itself:
+    # 1.5 would be written as "1.5" and True as "True", and neither loads.
+    try:
+        same = int(str(t)) == t
+    except ValueError:
+        same = False
+    if not same:
+        raise DataError(f"timestamp {t!r} would not read back as the same integer from an edge list")
+
+
 def write_edge_list(path, edges: EdgeList | Graph) -> None:
     """Write one "u v" (or "u v t") line per edge. Raises DataError, before
     opening ``path``, on a label that :func:`load_edge_list` would read back
-    as another node or not at all."""
+    as another node or not at all, or on a timestamp it would not read back
+    as the same integer."""
     if isinstance(edges, Graph):
         edges = to_edge_list(edges)
     for label in {w for pair in edges.pairs for w in pair}:
         _check_writable(label)
+    for t in edges.times or ():
+        _check_time(t)
     with open(path, "w", encoding="utf-8") as fh:
         if edges.times is None:
             for u, v in edges.pairs:

@@ -31,7 +31,7 @@ from trilink import (
     success_probability,
     trpr,
 )
-from trilink.experiments import TrialContext, _best_truth_rank, _eligible_seed_edges
+from trilink.experiments import SEEDS, TrialContext, _best_truth_rank, _eligible_seed_edges
 from trilink.local import LOCAL_METHODS
 from trilink.triangles import subgraph_triangles, triangle_edges
 
@@ -403,6 +403,18 @@ def test_success_probability_empty_truth_errors():
         success_probability(np.zeros(3), split, (ix[1], ix[2]), EvalPolicy())
 
 
+def test_success_probability_checks_its_scores():
+    split = holdout_like_split([(1, 2), (2, 3), (3, 4), (4, 5)], [(1, 5), (2, 5)])
+    ix = split.train.label_index
+    seed_edge = (ix[1], ix[2])
+    with pytest.raises(ValueError, match=r"shape \(8,\), expected \(5,\)"):
+        success_probability(np.arange(split.train.n + 3.0), split, seed_edge, EvalPolicy())
+    vals = np.zeros(split.train.n)
+    vals[ix[5]] = np.nan  # the best (and only) truth node
+    with pytest.raises(ValueError, match="NaN scores"):
+        success_probability(vals, split, seed_edge, EvalPolicy())
+
+
 def test_success_probability_js_composition(triangle_pendant):
     # hold out the wedge over the triangle edge; JS puts the pendant first
     ix = triangle_pendant.label_index
@@ -450,6 +462,14 @@ def test_auc_examples():
         auc(scores, {0, 1, 2, 3}, cands)
     with pytest.raises(ValueError):
         auc(scores, {0, 9}, cands)
+
+
+def test_auc_checks_its_scores():
+    cands = np.arange(4)
+    with pytest.raises(ValueError, match=r"1-D, got shape \(4, 2\)"):
+        auc(np.ones((4, 2)), {0, 1}, cands)
+    # A NaN candidate score is no error: the AUC is undefined.
+    assert np.isnan(auc(np.array([0.9, np.nan, 0.2, 0.1]), {0, 1}, cands))
 
 
 def test_auc_matches_brute_force():
@@ -831,6 +851,62 @@ def test_pairwise_solves_each_train_graphs_endpoints_in_one_batch(protocol, allo
     read = {x for r in res.details if r.truth_count for x in (r.seed_u, r.seed_v)}
     assert batches == [len(read)]
     assert any(r.truth_count == 0 for r in res.details) == allow_empty_truth
+
+
+DECLARED = [
+    ("pairwise", "pairseed"), ("pairwise", "ss"), ("pairwise", "ss-high"), ("pairwise", "max"),
+    ("pairwise", "mul"), ("linkpred", "single"), ("linkpred", "sum"), ("linkpred", "max"),
+    ("linkpred", "max-singles"), ("linkpred", "star"),
+]
+
+
+def test_seeds_are_declared_for_every_pagerank_builtin():
+    assert sorted(SEEDS) == sorted(DECLARED)
+
+
+def _declared_context_fields(registry: str, train, split) -> dict:
+    # A holdout trial's seed edge (pairwise) or the top-degree cohort node
+    # with held-out partners (linkpred).
+    if registry == "pairwise":
+        policy = EvalPolicy()
+        u, v = _eligible_seed_edges(split, policy)[0]
+        return dict(u=u, v=v, truth=ground_truth(split, (u, v), policy), candidates=candidate_nodes(train, u, v))
+    node = next(int(i) for i in np.argsort(-train.degrees, kind="stable") if int(i) in split.test_adjacency)
+    return dict(node=node, truth=frozenset(split.test_adjacency[node]))
+
+
+@pytest.mark.parametrize("registry, name", DECLARED)
+def test_declared_seeds_are_the_seeds_read(registry, name, monkeypatch):
+    # After the planned batch, scoring a built-in solves nothing more and
+    # reads exactly the seeds it declares; its scores equal those of an
+    # unplanned context, solved when it asks.
+    import trilink.experiments as ex
+
+    split = split_holdout(small_gpa(steps=400), 0.3, 5)
+    train = split.train
+    fn = ex._REGISTRIES[registry][name]
+    kw = _declared_context_fields(registry, train, split)
+    ctx = TrialContext(train, DiffusionParams(), **kw)
+    ex._solve_declared(registry, [(name, fn)], [ctx])
+    declared = SEEDS[registry, name](ctx)
+    assert set(ctx.cache) == set(declared)
+
+    batches = _count_batches(monkeypatch)
+    read = []
+    vectors = TrialContext.vectors
+
+    def recording(self, keys):
+        keys = list(keys)
+        read.extend(keys)
+        return vectors(self, keys)
+
+    monkeypatch.setattr(TrialContext, "vectors", recording)
+    planned = fn(ctx)
+    assert batches == [] and read == declared
+    monkeypatch.undo()
+
+    lazy = fn(TrialContext(train, DiffusionParams(), **kw))
+    assert np.array_equal(planned, lazy)
 
 
 def test_triangles_enumerated_once_per_train_graph(monkeypatch):
