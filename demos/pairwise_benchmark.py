@@ -50,7 +50,9 @@ for m in METHODS:
 
 # --- temporal -------------------------------------------------------------------
 
-# Fake arrival times: reuse the generator's creation order as a timestamp.
+# Fake arrival times: stamp the edges in to_edge_list's canonical (u, v)
+# order, which is not the generator's creation order (stamps in creation
+# order are ROADMAP open item 2).
 # Requiring BOTH wedge edges to arrive late is nearly impossible on a sparse
 # growing graph, so temporal runs use the OR metric: the candidate already
 # knows one endpoint, and the closing edge arrives in the test window.

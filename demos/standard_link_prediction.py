@@ -49,8 +49,9 @@ for row in result.summary:
 # proportional to the single-seed solution everywhere except i itself.
 # (Write x = (1-a)*D*(D-aA)^{-1}*s; symmetry of (D-aA)^{-1} plus its
 # resolvent row identity at i gives a constant ratio.) So 'sum' and 'star'
-# tie the baseline AUC exactly; only the nonlinear methods, 'max' and
-# 'trpr', can actually move a rank-based metric.
+# tie the baseline AUC exactly, and the harness scores both with the node's
+# single-seed vector instead of solving their own seeds; only the nonlinear
+# methods, 'max' and 'trpr', can actually move a rank-based metric.
 
 wins = {}
 base = {r.node: r.auc for r in result.nodes if r.method == "single"}

@@ -9,17 +9,17 @@ fell out of that component stay in the record but are flagged unusable.
 Both harnesses score methods the same way: a method is a ``(name, fn)``
 pair, and ``fn`` maps a :class:`TrialContext` to one float score per train
 node. The built-ins are two tables, ``PAIRWISE_METHODS`` and
-``LINKPRED_METHODS``. A PageRank built-in is the ``(kind, node)`` seeds it
-reads plus a step that combines their vectors; ``pairseed``, for one, is
-½(x_u + x_v) of the endpoints' single-seed vectors, which by linearity in
-the seed is the pair-seed solution. ``SEEDS`` is derived from the tables.
-Every context on one train graph shares a cache that lists the triangles
-once and solves each seeded PageRank vector once. Both harnesses build
-their contexts on a train graph first, then solve the seeds their built-in
-methods declare in one batch, then score. A loeto trial's train graph is a
-subgraph of the parent graph, so its triangles are taken from the parent's
-list (enumerated once per run) rather than enumerated again, and only when
-a method reads them.
+``LINKPRED_METHODS``. A PageRank built-in is the nodes whose single-seed
+vectors it reads plus a step that combines those vectors; ``pairseed``, for
+one, is ½(x_u + x_v), which by linearity in the seed is the pair-seed
+solution. ``SEEDS`` is derived from the tables. Every context on one train
+graph shares a cache that lists the triangles once and solves each node's
+single-seed PageRank vector once. Both harnesses build their contexts on a
+train graph first, then solve the seeds their built-in methods declare in
+one batch, then score. A loeto trial's train graph is a subgraph of the
+parent graph, so its triangles are taken from the parent's list (enumerated
+once per run) rather than enumerated again, and only when a method reads
+them.
 """
 
 from __future__ import annotations
@@ -339,7 +339,7 @@ class TrialContext:
     ``truth`` holds the ground-truth nodes (linkpred: the node's held-out
     partners) and ``candidates`` the rankable nodes. All methods in a trial
     receive the same context, and all contexts on one train graph share
-    ``cache``, so its triangles and seeded PageRank vectors are computed once.
+    ``cache``, so its triangles and single-seed vectors are computed once.
     When ``cache`` holds ``"parent"``, a ``(TriangleSet, Graph)`` pair of a
     graph that ``train`` is a subgraph of, the triangles are taken from the
     parent's list instead of being enumerated."""
@@ -365,23 +365,18 @@ class TrialContext:
             self.cache["triangles"] = ts
         return ts
 
-    def vectors(self, keys: Iterable[tuple[str, int]]) -> dict[tuple[str, int], np.ndarray]:
-        """PageRank vectors of ``(kind, node)`` seeds (see
-        :func:`~trilink.diffusion.make_seed`); those not cached yet are solved
-        together in one :func:`pagerank_many` call, whose columns are
-        bit-equal to lone solves."""
-        keys = list(dict.fromkeys(keys))
-        missing = [key for key in keys if key not in self.cache]
+    def singles(self, nodes: Iterable[int]) -> dict[int, np.ndarray]:
+        """Single-seed PageRank vectors of ``nodes``, by node; those not
+        cached yet are solved together in one :func:`pagerank_many` call,
+        whose columns are bit-equal to lone solves."""
+        nodes = list(dict.fromkeys(nodes))
+        missing = [i for i in nodes if i not in self.cache]
         if missing:
-            seeds = seed_columns(self.train.n, [make_seed(self.train, kind, i) for kind, i in missing])
+            seeds = seed_columns(self.train.n, [make_seed(self.train, "single", i) for i in missing])
             sols = pagerank_many(self.train, seeds, self.params)
-            for col, key in enumerate(missing):
-                self.cache[key] = sols[:, col]
-        return {key: self.cache[key] for key in keys}
-
-    def singles(self, nodes: Sequence[int]) -> dict[int, np.ndarray]:
-        """Single-seed PageRank vectors of ``nodes``, by node."""
-        return {i: x for (_, i), x in self.vectors(("single", i) for i in nodes).items()}
+            for col, i in enumerate(missing):
+                self.cache[i] = sols[:, col]
+        return {i: self.cache[i] for i in nodes}
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -398,17 +393,16 @@ class TrialContext:
 
 
 Method = Callable[[TrialContext], np.ndarray]
-Seeds = Callable[[TrialContext], list[tuple[str, int]]]
+Seeds = Callable[[TrialContext], list[int]]
 
 
 def _pagerank_method(seeds: Seeds, combine: Callable[..., np.ndarray]) -> Method:
-    """A method that combines the PageRank vectors of the ``(kind, node)``
-    seeds it reads on a context, in the order ``seeds`` lists them. The
-    harnesses solve the same ``seeds`` for all their contexts in one batch
-    (see ``SEEDS``)."""
+    """A method that combines the single-seed PageRank vectors of the nodes
+    ``seeds`` lists on a context, in that order. The harnesses solve the same
+    ``seeds`` for all their contexts in one batch (see ``SEEDS``)."""
 
     def fn(ctx: TrialContext) -> np.ndarray:
-        return combine(*ctx.vectors(seeds(ctx)).values())
+        return combine(*ctx.singles(seeds(ctx)).values())
 
     fn.seeds = seeds
     return fn
@@ -445,19 +439,26 @@ def _same(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _endpoints(ctx: TrialContext) -> list[tuple[str, int]]:
-    return [("single", ctx.u), ("single", ctx.v)]
+def _endpoints(ctx: TrialContext) -> list[int]:
+    return [ctx.u, ctx.v]
 
 
-def _closed_singles(ctx: TrialContext) -> list[tuple[str, int]]:
-    return [("single", j) for j in [ctx.node, *ctx.train.neighbors(ctx.node).tolist()]]
+def _closed_singles(ctx: TrialContext) -> list[int]:
+    return [ctx.node, *ctx.train.neighbors(ctx.node).tolist()]
+
+
+# sum aggregates the pair-seed vectors of node i's edges, which by linearity
+# is i's weighted-star vector. On an undirected graph that vector and the
+# star vector are positive multiples of the single vector x_i away from i,
+# and i is never a candidate, so both rank every candidate as x_i does.
+_single = _pagerank_method(lambda ctx: [ctx.node], _same)
 
 
 PAIRWISE_METHODS: dict[str, Method] = {
     # Linearity in the seed: the pair-seed solution is the endpoints' mean.
     "pairseed": _pagerank_method(_endpoints, lambda x_u, x_v: (x_u + x_v) / 2.0),
-    "ss": _pagerank_method(lambda ctx: [("single", min(ctx.u, ctx.v))], _same),
-    "ss-high": _pagerank_method(lambda ctx: [("single", max(ctx.u, ctx.v))], _same),
+    "ss": _pagerank_method(lambda ctx: [min(ctx.u, ctx.v)], _same),
+    "ss-high": _pagerank_method(lambda ctx: [max(ctx.u, ctx.v)], _same),
     "max": _pagerank_method(_endpoints, np.maximum),
     "mul": _pagerank_method(_endpoints, np.multiply),
     "trpr": _trpr_method(lambda ctx: ("pair", ctx.u, ctx.v)),
@@ -467,20 +468,18 @@ PAIRWISE_METHODS: dict[str, Method] = {
     "antioracle": _oracle(-1.0),
 }
 LINKPRED_METHODS: dict[str, Method] = {
-    "single": _pagerank_method(lambda ctx: [("single", ctx.node)], _same),
-    # Aggregating the pair-seed vectors of all incident edges collapses, by
-    # linearity, to one solve with the degree-weighted closed neighborhood.
-    "sum": _pagerank_method(lambda ctx: [("weighted-star", ctx.node)], _same),
+    "single": _single,
+    "sum": _single,
     "max": _pagerank_method(
         _closed_singles, lambda x_i, *x_nbrs: np.maximum.reduce([(x_i + x_j) / 2.0 for x_j in x_nbrs])
     ),
     "max-singles": _pagerank_method(_closed_singles, lambda *x: np.maximum.reduce(x)),
-    "star": _pagerank_method(lambda ctx: [("star", ctx.node)], _same),
+    "star": _single,
     "trpr": _trpr_method(lambda ctx: ("star", ctx.node)),
     "oracle": _oracle(1.0),
 }
 _REGISTRIES = {"pairwise": PAIRWISE_METHODS, "linkpred": LINKPRED_METHODS}
-# The (kind, node) seeds a built-in method reads when it scores a context,
+# The nodes whose single vectors a built-in method reads on a context,
 # by registry and method name, so a harness can solve the seeds of all its
 # contexts on one train graph in one batch before scoring.
 SEEDS: dict[tuple[str, str], Seeds] = {
@@ -501,7 +500,7 @@ def _solve_declared(registry: str, named: list[tuple[str, Method]], contexts: Se
         SEEDS[registry, name] for name, fn in named if (registry, name) in SEEDS and fn is methods[name]
     ]
     if contexts:
-        contexts[0].vectors(key for ctx in contexts for seeds in declared for key in seeds(ctx))
+        contexts[0].singles(i for ctx in contexts for seeds in declared for i in seeds(ctx))
 
 
 DEFAULT_PAIRWISE_METHODS = (

@@ -279,7 +279,8 @@ def write_edge_list(path, edges: EdgeList | Graph) -> None:
     as the same integer."""
     if isinstance(edges, Graph):
         edges = to_edge_list(edges)
-    for label in {w for pair in edges.pairs for w in pair}:
+    # By (type, value): 1.0 and True equal 1 in a set, but are written apart.
+    for _, label in {(type(w), w) for pair in edges.pairs for w in pair}:
         _check_writable(label)
     for t in edges.times or ():
         _check_time(t)

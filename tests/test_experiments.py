@@ -635,14 +635,15 @@ def test_linkpred_sum_equals_weighted_star_seed():
 
 def test_linkpred_solves_its_seeds_in_one_batch(monkeypatch):
     # The built-in methods declare their seeds, so one pagerank_many call
-    # solves those of the scored nodes, none of the skipped nodes', and no
-    # lone pagerank solve runs. star and sum read columns of that batch,
-    # bit-equal to lone solves of their seeds.
+    # solves the closed-neighbourhood singles of the scored nodes, none of
+    # the skipped nodes', and no lone pagerank solve runs. star and sum score
+    # with the node's single vector, and get the AUCs of lone solves of their
+    # own star and weighted-star seeds.
     import trilink.diffusion as dif
     import trilink.experiments as ex
 
     lone, batches = [], []
-    seen: dict[str, list] = {"star": [], "sum": []}
+    seen: dict[str, list] = {"single": [], "star": [], "sum": []}
     batch = ex.pagerank_many
     monkeypatch.setattr(dif, "pagerank", lambda *a, **kw: lone.append(a) or pagerank(*a, **kw))
     monkeypatch.setattr(ex, "pagerank_many", lambda g, s, p: batches.append(s.shape[1]) or batch(g, s, p))
@@ -652,7 +653,7 @@ def test_linkpred_solves_its_seeds_in_one_batch(monkeypatch):
 
         def rec(ctx):
             vals = fn(ctx)
-            seen[name].append((ctx.train, ctx.node, vals))
+            seen[name].append((ctx, vals))
             return vals
 
         return rec
@@ -663,8 +664,8 @@ def test_linkpred_solves_its_seeds_in_one_batch(monkeypatch):
     monkeypatch.undo()
     assert lone == [] and len(batches) == 1
 
-    train = seen["star"][0][0]
-    scored = [i for _, i, _ in seen["star"]]
+    train = seen["single"][0][0].train
+    scored = [ctx.node for ctx, _ in seen["single"]]
     cohort = np.lexsort((np.arange(train.n), -train.degrees))[:30]
     assert len(cohort) - len(scored) == res.metadata["nodes_skipped_no_positives"]
 
@@ -672,11 +673,14 @@ def test_linkpred_solves_its_seeds_in_one_batch(monkeypatch):
         return {j for i in nodes for j in [i, *train.neighbors(i).tolist()]}
 
     assert len(closed_singles(cohort)) > len(closed_singles(scored))
-    assert batches == [len(closed_singles(scored)) + 2 * len(scored)]
+    assert batches == [len(closed_singles(scored))]
+    reported = {(r.node, r.method): r.auc for r in res.nodes}
     for name, kind in (("star", "star"), ("sum", "weighted-star")):
-        assert [i for _, i, _ in seen[name]] == scored
-        for g, i, vals in seen[name]:
-            assert np.array_equal(vals, pagerank(g, make_seed(g, kind, i)))
+        assert [ctx.node for ctx, _ in seen[name]] == scored
+        for (ctx, vals), (_, single) in zip(seen[name], seen["single"]):
+            assert np.array_equal(vals, single)
+            direct = pagerank(train, make_seed(train, kind, ctx.node))
+            assert auc(direct, ctx.truth, ctx.candidates) == reported[train.labels[ctx.node], name]
 
 
 def test_linkpred_rows_and_cohort_shrink():
@@ -893,14 +897,14 @@ def test_declared_seeds_are_the_seeds_read(registry, name, monkeypatch):
 
     batches = _count_batches(monkeypatch)
     read = []
-    vectors = TrialContext.vectors
+    singles = TrialContext.singles
 
-    def recording(self, keys):
-        keys = list(keys)
-        read.extend(keys)
-        return vectors(self, keys)
+    def recording(self, nodes):
+        nodes = list(nodes)
+        read.extend(nodes)
+        return singles(self, nodes)
 
-    monkeypatch.setattr(TrialContext, "vectors", recording)
+    monkeypatch.setattr(TrialContext, "singles", recording)
     planned = fn(ctx)
     assert batches == [] and read == declared
     monkeypatch.undo()
@@ -950,7 +954,6 @@ def test_context_solves_each_seed_once(monkeypatch):
     ctx = TrialContext(train, DiffusionParams())
     vecs = ctx.singles([3, 3])
     assert batches == [1] and list(vecs) == [3]
-    keys = [("star", 3), ("single", 3), ("weighted-star", 5), ("star", 3)]
-    assert list(ctx.vectors(keys)) == [("star", 3), ("single", 3), ("weighted-star", 5)]
+    assert list(ctx.singles([5, 3, 7, 5])) == [5, 3, 7]
     assert batches == [1, 2]
     assert ctx.singles([3])[3] is vecs[3]

@@ -138,8 +138,10 @@ def test_round_trip():
         (EdgeList(((1, "a b"),)), "a b"),  # one label, two fields
         (EdgeList(((1, "a\tb"),)), "a\tb"),
         (EdgeList((("", 2),)), ""),
+        (EdgeList(((1, 2), (1.0, 3))), 1.0),  # equals the label 1, but is written "1.0"
+        (EdgeList(((np.int64(1), 2), (True, 3))), True),  # equals np.int64(1), written "True"
     ],
-    ids=["str-int-merge", "hash", "percent", "space", "tab", "empty"],
+    ids=["str-int-merge", "hash", "percent", "space", "tab", "empty", "float-equals-int", "bool-equals-int"],
 )
 def test_write_refuses_labels_that_would_not_read_back(tmp_path, edges, bad):
     path = tmp_path / "edges.tsv"
