@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .diffusion import DiffusionParams, make_seed, rank_stability, trpr_iterates
+from .diffusion import DiffusionParams, make_seed, rank_stability, top_k_indices, trpr_iterates
 from .experiments import (
     DEFAULT_LINKPRED_METHODS,
     DEFAULT_PAIRWISE_METHODS,
@@ -261,23 +261,31 @@ def cmd_diagnose(args) -> int:
             u, v = g.label_index[toks[0]], g.label_index[toks[1]]
         except KeyError as missing:
             raise DataError(f"node {missing} not in the graph's largest component")
+        if not g.has_edge(u, v):
+            raise DataError(f"--edge {args.edge!r} is not an edge of the graph's largest component")
     else:
         u, v = _default_diagnose_edge(g, ts)
     seed = make_seed(g, "pair", u, v)
-    # Only the previous iterate and the reference iterate are kept; each
-    # consecutive pair's statistics are taken as the iteration runs.
+    # Only the previous iterate and the reference iterate are kept, each with
+    # its top-k nodes, so each iterate is sorted once; each consecutive pair's
+    # statistics are taken as the iteration runs, top-k ones over the union
+    # of the two top-k sets, as rank_stability(..., top_k=) restricts them.
     ref = min(params.iterations, args.max_iters)
     x = x_ref = seed.dense(g.n)
+    top = top_ref = top_k_indices(x, args.top_k)
     rows = ["iter,l1_delta,spearman_full,kendall_full,spearman_top100,kendall_top100\n"]
     for i, x_next, _, delta in trpr_iterates(g, ts, seed, params, args.weighted, iterations=args.max_iters):
+        top_next = top_k_indices(x_next, args.top_k)
+        keep = np.union1d(top, top_next)
         rho_f, tau_f = rank_stability(x, x_next)
-        rho_t, tau_t = rank_stability(x, x_next, top_k=args.top_k)
+        rho_t, tau_t = rank_stability(x[keep], x_next[keep])
         rows.append(f"{i},{delta!r},{rho_f!r},{tau_f!r},{rho_t!r},{tau_t!r}\n")
-        x = x_next
+        x, top = x_next, top_next
         if i == ref:
-            x_ref = x
+            x_ref, top_ref = x, top
+    keep = np.union1d(top_ref, top)
     rho_f, tau_f = rank_stability(x_ref, x)
-    rho_t, tau_t = rank_stability(x_ref, x, top_k=args.top_k)
+    rho_t, tau_t = rank_stability(x_ref[keep], x[keep])
     gap = float(np.abs(x - x_ref).sum())
     rows.append(f"{ref}v{args.max_iters},{gap!r},{rho_f!r},{tau_f!r},{rho_t!r},{tau_t!r}\n")
 

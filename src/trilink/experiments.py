@@ -12,14 +12,14 @@ node. The built-ins are two tables, ``PAIRWISE_METHODS`` and
 ``LINKPRED_METHODS``. A PageRank built-in is the nodes whose single-seed
 vectors it reads plus a step that combines those vectors; ``pairseed``, for
 one, is ½(x_u + x_v), which by linearity in the seed is the pair-seed
-solution. ``SEEDS`` is derived from the tables. Every context on one train
-graph shares a cache that lists the triangles once and solves each node's
-single-seed PageRank vector once. Both harnesses build their contexts on a
-train graph first, then solve the seeds their built-in methods declare in
-one batch, then score. A loeto trial's train graph is a subgraph of the
-parent graph, so its triangles are taken from the parent's list (enumerated
-once per run) rather than enumerated again, and only when a method reads
-them.
+solution, and it carries those nodes as ``fn.seeds``. Every context on one
+train graph shares a cache that lists the triangles once and solves each
+node's single-seed PageRank vector once. Both harnesses build their
+contexts on a train graph first, then solve in one batch the seeds that
+their methods carry, then score. A loeto trial's train graph is a subgraph
+of the parent graph, so its triangles are taken from the parent's list
+(enumerated once per run) rather than enumerated again, and only when a
+method reads them.
 """
 
 from __future__ import annotations
@@ -398,8 +398,9 @@ Seeds = Callable[[TrialContext], list[int]]
 
 def _pagerank_method(seeds: Seeds, combine: Callable[..., np.ndarray]) -> Method:
     """A method that combines the single-seed PageRank vectors of the nodes
-    ``seeds`` lists on a context, in that order. The harnesses solve the same
-    ``seeds`` for all their contexts in one batch (see ``SEEDS``)."""
+    ``seeds`` lists on a context, in that order. ``seeds`` is kept as
+    ``fn.seeds``, so the harnesses can solve it for all their contexts in
+    one batch before scoring (see ``_solve_declared``)."""
 
     def fn(ctx: TrialContext) -> np.ndarray:
         return combine(*ctx.singles(seeds(ctx)).values())
@@ -478,27 +479,13 @@ LINKPRED_METHODS: dict[str, Method] = {
     "trpr": _trpr_method(lambda ctx: ("star", ctx.node)),
     "oracle": _oracle(1.0),
 }
-_REGISTRIES = {"pairwise": PAIRWISE_METHODS, "linkpred": LINKPRED_METHODS}
-# The nodes whose single vectors a built-in method reads on a context,
-# by registry and method name, so a harness can solve the seeds of all its
-# contexts on one train graph in one batch before scoring.
-SEEDS: dict[tuple[str, str], Seeds] = {
-    (registry, name): fn.seeds
-    for registry, methods in _REGISTRIES.items()
-    for name, fn in methods.items()
-    if hasattr(fn, "seeds")
-}
 
 
-def _solve_declared(registry: str, named: list[tuple[str, Method]], contexts: Sequence[TrialContext]) -> None:
-    """Solve, in one batch on their shared cache, the seeds that the built-in
-    methods among ``named`` declare for ``contexts``, in first-use order. A
-    custom ``(name, fn)`` pair, even one that reuses a built-in's name, is
-    solved when it asks."""
-    methods = _REGISTRIES[registry]
-    declared = [
-        SEEDS[registry, name] for name, fn in named if (registry, name) in SEEDS and fn is methods[name]
-    ]
+def _solve_declared(named: list[tuple[str, Method]], contexts: Sequence[TrialContext]) -> None:
+    """Solve, in one batch on their shared cache, the seeds that the methods
+    among ``named`` that carry ``seeds`` read on ``contexts``, in first-use
+    order. A method without ``seeds`` is solved when it asks."""
+    declared = [fn.seeds for _, fn in named if hasattr(fn, "seeds")]
     if contexts:
         contexts[0].singles(i for ctx in contexts for seeds in declared for i in seeds(ctx))
 
@@ -616,10 +603,10 @@ def run_pairwise_experiment(
     trial) share a :class:`TrialContext` cache, so the triangles are listed
     once and each endpoint's single-seed vector is solved once.
     holdout/temporal draw every trial first, then solve the seeds that the
-    built-in methods declare (``SEEDS``) for all scored trials in one batch;
-    a loeto trial solves its endpoints in one two-column batch. Custom
-    methods are solved when they ask. ``pairseed``, ``ss``, ``max`` and
-    ``mul`` all read those vectors; ``pairseed`` is ½(x_u + x_v), which
+    methods carry as ``fn.seeds`` for all scored trials in one batch; a
+    loeto trial solves its endpoints in one two-column batch. A method
+    without ``seeds`` is solved when it asks. ``pairseed``, ``ss``, ``max``
+    and ``mul`` all read those vectors; ``pairseed`` is ½(x_u + x_v), which
     equals the pair-seed solution by linearity, so its scores do not depend
     on the other methods. Each batch column is bit-equal to a lone solve.
     loeto enumerates the parent graph's triangles once, to draw seed edges;
@@ -661,7 +648,7 @@ def run_pairwise_experiment(
             u, v = eligible[rng.integers(len(eligible))]
             drawn.append(replace(shared, u=u, v=v, truth=ground_truth(split, (u, v), base_policy)))
         # A trial with empty truth is never scored, so its seeds are not solved.
-        _solve_declared("pairwise", named, [ctx for ctx in drawn if ctx.truth])
+        _solve_declared(named, [ctx for ctx in drawn if ctx.truth])
 
         def make_trial(i: int):
             return drawn[i], 0
@@ -688,7 +675,7 @@ def run_pairwise_experiment(
                     continue
                 cache = {"parent": (ts_full, g)}
                 ctx = TrialContext(lsplit.train, params, cache=cache, u=tu, v=tv, truth=truth)
-                _solve_declared("pairwise", named, [ctx])
+                _solve_declared(named, [ctx])
                 return ctx, rejected
             return None
 
@@ -791,8 +778,8 @@ def run_standard_linkpred(
     partners as positives. The summary compares every method to the
     single-seed baseline, including the mean signed distance to the y = x
     diagonal of the method-vs-baseline AUC scatter. Cohort nodes are scored
-    in order; before scoring, the seeds that the built-in methods declare
-    (``SEEDS``) are solved for every scored node in one batch.
+    in order; before scoring, the seeds that the methods carry as
+    ``fn.seeds`` are solved for every scored node in one batch.
     """
     if num_nodes < 1:
         raise ValueError("num_nodes must be >= 1")
@@ -821,7 +808,7 @@ def run_standard_linkpred(
         if positives and len(positives) < len(cands):
             contexts.append(replace(basis, node=i, candidates=cands, truth=positives))
     skipped = len(cohort) - len(contexts)
-    _solve_declared("linkpred", named, contexts)
+    _solve_declared(named, contexts)
     rows: list[LinkpredNodeRow] = []
     per_method: dict[str, list[float]] = {name: [] for name, _ in named}
     baseline_aucs: list[float] = []

@@ -207,6 +207,18 @@ def test_diagnose_edge_keeps_leading_zero_labels(tmp_path):
     assert meta["seed_edge"] == ["01", 1]
 
 
+@pytest.mark.parametrize("edge", ["1,3", "1,1"])
+def test_diagnose_edge_must_be_an_edge(tmp_path, capsys, edge):
+    # Two nodes of the component that are not adjacent, or one node twice,
+    # are a data error and write nothing.
+    path = tmp_path / "path.tsv"
+    path.write_text("1 2\n2 3\n3 4\n")
+    out = tmp_path / "out"
+    assert main(["diagnose", "--input", str(path), "--edge", edge, "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    assert "is not an edge" in capsys.readouterr().err
+
+
 def test_triangles_command(gpa_file, capsys):
     rc = main(["triangles", str(gpa_file)])
     assert rc == 0

@@ -31,7 +31,13 @@ from trilink import (
     success_probability,
     trpr,
 )
-from trilink.experiments import SEEDS, TrialContext, _best_truth_rank, _eligible_seed_edges
+from trilink.experiments import (
+    LINKPRED_METHODS,
+    PAIRWISE_METHODS,
+    TrialContext,
+    _best_truth_rank,
+    _eligible_seed_edges,
+)
 from trilink.local import LOCAL_METHODS
 from trilink.triangles import subgraph_triangles, triangle_edges
 
@@ -857,15 +863,29 @@ def test_pairwise_solves_each_train_graphs_endpoints_in_one_batch(protocol, allo
     assert any(r.truth_count == 0 for r in res.details) == allow_empty_truth
 
 
+def test_builtin_under_another_name_is_planned(monkeypatch):
+    # A method is planned by the seeds it carries, not by its name: the
+    # pairseed built-in passed as ("mine", fn) is solved in one batch, one
+    # column per distinct endpoint of the scored trials.
+    batches = _count_batches(monkeypatch)
+    res = run_pairwise_experiment(small_gpa(steps=400), "holdout", [("mine", PAIRWISE_METHODS["pairseed"])],
+                                  trials=40, rng_seed=7)
+    read = {x for r in res.details if r.truth_count for x in (r.seed_u, r.seed_v)}
+    assert batches == [len(read)]
+
+
 DECLARED = [
     ("pairwise", "pairseed"), ("pairwise", "ss"), ("pairwise", "ss-high"), ("pairwise", "max"),
     ("pairwise", "mul"), ("linkpred", "single"), ("linkpred", "sum"), ("linkpred", "max"),
     ("linkpred", "max-singles"), ("linkpred", "star"),
 ]
+TABLES = {"pairwise": PAIRWISE_METHODS, "linkpred": LINKPRED_METHODS}
 
 
 def test_seeds_are_declared_for_every_pagerank_builtin():
-    assert sorted(SEEDS) == sorted(DECLARED)
+    carried = [(registry, name) for registry, methods in TABLES.items()
+               for name, fn in methods.items() if hasattr(fn, "seeds")]
+    assert sorted(carried) == sorted(DECLARED)
 
 
 def _declared_context_fields(registry: str, train, split) -> dict:
@@ -888,11 +908,11 @@ def test_declared_seeds_are_the_seeds_read(registry, name, monkeypatch):
 
     split = split_holdout(small_gpa(steps=400), 0.3, 5)
     train = split.train
-    fn = ex._REGISTRIES[registry][name]
+    fn = TABLES[registry][name]
     kw = _declared_context_fields(registry, train, split)
     ctx = TrialContext(train, DiffusionParams(), **kw)
-    ex._solve_declared(registry, [(name, fn)], [ctx])
-    declared = SEEDS[registry, name](ctx)
+    ex._solve_declared([(name, fn)], [ctx])
+    declared = fn.seeds(ctx)
     assert set(ctx.cache) == set(declared)
 
     batches = _count_batches(monkeypatch)
