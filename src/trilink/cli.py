@@ -177,10 +177,9 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _load_graph(args, lcc: bool = True):
-    edges = load_edge_list(args.input, has_timestamps=getattr(args, "timestamps", False))
-    g = build_graph(edges)
-    return largest_connected_component(g) if lcc else g
+def _load_graph(args):
+    edges = load_edge_list(args.input, has_timestamps=args.timestamps)
+    return largest_connected_component(build_graph(edges))
 
 
 def cmd_pairwise(args) -> int:

@@ -34,7 +34,6 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .diffusion import DiffusionParams, _ranks, make_seed, pagerank_many, seed_columns, trpr
 from .graph import (
@@ -42,6 +41,7 @@ from .graph import (
     EdgeList,
     Graph,
     Label,
+    _from_index_pairs,
     build_graph,
     edge_subgraph,
     largest_connected_component,
@@ -99,7 +99,12 @@ class TrialReport:
 
 @dataclass(frozen=True, eq=False)
 class SplitDataset:
-    """A train graph plus held-out test edges (original labels)."""
+    """A train graph plus held-out test edges (original labels).
+
+    ``test_graph`` holds the usable test edges as a graph on the train
+    nodes: every held-out pair with both endpoints in the train component,
+    without self-loop records. Every split keeps train and test edges
+    disjoint."""
 
     train: Graph
     test_pairs: tuple[tuple[Label, Label], ...]
@@ -108,18 +113,12 @@ class SplitDataset:
     meta: dict = field(default_factory=dict)
 
     @cached_property
-    def test_adjacency(self) -> dict[int, set[int]]:
-        """Test edges mapped to train dense indices; pairs with an endpoint
-        outside the train component are excluded (they are unusable)."""
+    def test_graph(self) -> Graph:
         idx = self.train.label_index
-        adj: dict[int, set[int]] = {}
-        for u, v in self.test_pairs:
-            iu, iv = idx.get(u), idx.get(v)
-            if iu is None or iv is None:
-                continue
-            adj.setdefault(iu, set()).add(iv)
-            adj.setdefault(iv, set()).add(iu)
-        return adj
+        usable = [(idx[u], idx[v]) for u, v in self.test_pairs if u in idx and v in idx]
+        pairs = np.sort(np.array(usable, dtype=np.int64).reshape(-1, 2), axis=1)
+        # Drop self-loop records and merge repeated pairs.
+        return _from_index_pairs(np.unique(pairs[pairs[:, 0] < pairs[:, 1]], axis=0), self.train.labels)
 
     @property
     def unusable_test_edges(self) -> int:
@@ -222,20 +221,28 @@ def split_loeto(g: Graph, seed_edge: tuple[int, int]) -> SplitDataset:
 # ground truth, candidates, metrics
 
 
+def _truth_graphs(split: SplitDataset, truth_mode: str) -> tuple[tuple[Graph, Graph], ...]:
+    """The truth rule: node w is ground truth for the seed edge (u, v) when,
+    for one of these pairs (X, Y), w is an X-neighbour of u and a
+    Y-neighbour of v. ``and`` is (test, test): both wedge edges held out.
+    ``or`` is (test, train) and (train, test): one wedge edge held out and
+    the other in train. Train and test edges are disjoint, so no node with
+    both wedge edges held out is ``or`` truth."""
+    test, train = split.test_graph, split.train
+    return {"and": ((test, test),), "or": ((test, train), (train, test))}[truth_mode]
+
+
 def ground_truth(split: SplitDataset, seed_edge: tuple[int, int], policy: EvalPolicy) -> frozenset[int]:
     """Nodes (train indices) that complete a triangle with the seed edge
-    according to the policy's truth mode."""
+    under the policy's truth mode (see :func:`_truth_graphs`). Neither graph
+    has a self-loop, so the seed endpoints are never truth. Raises
+    IndexError for a seed node outside the train graph."""
     u, v = seed_edge
-    adj = split.test_adjacency
-    tu = adj.get(u, set())
-    tv = adj.get(v, set())
-    if policy.truth_mode == "and":
-        truth = tu & tv
-    else:
-        train = split.train
-        truth = {w for w in tu - tv if train.has_edge(v, w)}
-        truth |= {w for w in tv - tu if train.has_edge(u, w)}
-    return frozenset(truth - {u, v})
+    return frozenset(
+        w
+        for x, y in _truth_graphs(split, policy.truth_mode)
+        for w in np.intersect1d(x.neighbors(u), y.neighbors(v), assume_unique=True).tolist()
+    )
 
 
 def candidate_nodes(train: Graph, u: int, v: int, rule: str = "either") -> np.ndarray:
@@ -554,24 +561,12 @@ class PairwiseResult:
 
 def _eligible_seed_edges(split: SplitDataset, policy: EvalPolicy) -> list[tuple[int, int]]:
     """Train edges (in ``edge_array`` order) whose ground truth is nonempty,
-    found for all edges at once from the test adjacency T and the train
-    adjacency A: under ``and`` truth the endpoints share a test neighbour,
-    (T @ T)[u, v] > 0; under ``or`` truth a test neighbour of one endpoint is
-    a train neighbour of the other, (T @ A + A @ T)[u, v] > 0, which equals
-    :func:`ground_truth`'s rule because train and test edges are disjoint."""
-    train = split.train
-    adj = split.test_adjacency
-    rows = np.fromiter((u for u, nb in adj.items() for _ in nb), dtype=np.int64)
-    cols = np.fromiter((w for nb in adj.values() for w in nb), dtype=np.int64)
-    off = rows != cols  # ground truth never holds a seed endpoint
-    t = sp.csr_matrix((np.ones(int(off.sum())), (rows[off], cols[off])), shape=(train.n, train.n))
-    edges = train.edge_array()
+    found for all edges at once: summed over the pairs (X, Y) of
+    :func:`_truth_graphs`, (X.adjacency @ Y.adjacency)[u, v] counts the
+    nodes that :func:`ground_truth` lists for (u, v)."""
+    edges = split.train.edge_array()
     u, v = edges.T
-    if policy.truth_mode == "and":
-        count = (t @ t)[u, v]
-    else:
-        ta = t @ train.adjacency  # A @ T is its transpose
-        count = ta[u, v] + ta[v, u]
+    count = sum((x.adjacency @ y.adjacency)[u, v] for x, y in _truth_graphs(split, policy.truth_mode))
     return [(a, b) for a, b in edges[np.asarray(count).ravel() > 0].tolist()]
 
 
@@ -596,8 +591,9 @@ def run_pairwise_experiment(
     ``allow_empty_truth``) and every method scores the same trial. loeto: a
     fresh triangles-out split per trial; invalid draws (seed endpoints or all
     truth lost to the component reduction) are discarded and resampled.
-    Trials run in order, so results are deterministic for a given master
-    seed.
+    loeto refuses ``or`` truth: it holds out both wedge edges of every
+    triangle on the seed edge, so no wedge edge is left in train. Trials run
+    in order, so results are deterministic for a given master seed.
 
     Trials on one train graph (every holdout/temporal trial, or one loeto
     trial) share a :class:`TrialContext` cache, so the triangles are listed
@@ -618,6 +614,11 @@ def run_pairwise_experiment(
         raise ValueError("trials must be >= 1")
     if protocol not in ("holdout", "temporal", "loeto"):
         raise ValueError(f"unknown protocol {protocol!r}")
+    if protocol == "loeto" and truth_mode == "or":
+        raise ValueError(
+            "loeto holds out both wedge edges of every triangle on the seed edge, "
+            "so 'or' truth (one wedge edge in train) is always empty"
+        )
     named = _resolve_methods(methods, PAIRWISE_METHODS)
     k_values = tuple(int(k) for k in k_values)
     _check_unique(k_values, "k value")
@@ -790,7 +791,6 @@ def run_standard_linkpred(
     root = np.random.SeedSequence(rng_seed)
     split = split_holdout(g, test_fraction, root.spawn(1)[0])
     train = split.train
-    adj = split.test_adjacency
 
     order = np.lexsort((np.arange(train.n), -train.degrees))
     cohort = [int(i) for i in order[:num_nodes]]
@@ -804,7 +804,7 @@ def run_standard_linkpred(
         mask[train.neighbors(i)] = False
         mask[i] = False
         cands = np.flatnonzero(mask)
-        positives = frozenset(adj.get(i, set()))
+        positives = frozenset(split.test_graph.neighbors(i).tolist())
         if positives and len(positives) < len(cands):
             contexts.append(replace(basis, node=i, candidates=cands, truth=positives))
     skipped = len(cohort) - len(contexts)

@@ -259,6 +259,31 @@ def loeto_split(g: Graph, u: int, v: int) -> SplitDataset:
     return _label_pair_split(g, held_out, "loeto", None, {"seed_edge": (g.labels[u], g.labels[v])})
 
 
+def truth_oracle(split: SplitDataset, seed_edge: tuple[int, int], truth_mode: str) -> frozenset[int]:
+    """Ground truth by set algebra on labels, read from ``split.test_pairs``:
+    the train nodes w other than the seed endpoints whose wedge edges to the
+    endpoints are both held out ('and'), or exactly one held out and the
+    other in train ('or')."""
+    lab = split.train.labels
+    test = {frozenset(p) for p in split.test_pairs}
+    train = {frozenset((lab[a], lab[b])) for a, b in split.train.edge_array().tolist()}
+    u, v = lab[seed_edge[0]], lab[seed_edge[1]]
+    truth = set()
+    for i, w in enumerate(lab):
+        if w in (u, v):
+            continue
+        eu, ev = frozenset((u, w)), frozenset((v, w))
+        if truth_mode == "and":
+            hit = eu in test and ev in test
+        else:
+            hit = (eu in test and ev not in test and ev in train) or (
+                ev in test and eu not in test and eu in train
+            )
+        if hit:
+            truth.add(i)
+    return frozenset(truth)
+
+
 # -- random instances ---------------------------------------------------------
 
 

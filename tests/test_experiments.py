@@ -342,6 +342,64 @@ def test_eligible_seed_edges_equal_the_per_edge_ground_truth():
             assert want and _eligible_seed_edges(split, policy) == want
 
 
+def _truth_oracle_splits() -> list:
+    g = small_gpa(seed=5, steps=200)
+    lab = g.labels
+    splits = [split_holdout(g, 0.3, seed) for seed in (1, 2)]
+    tri = sorted(triangle_edges(enumerate_triangles(g)))
+    splits += [split_loeto(g, tri[i]) for i in np.random.default_rng(8).choice(len(tri), 3, replace=False)]
+    # Temporal records, in time order after a random order of the edges: a
+    # 2-node component that trains outside the largest one; then, held out,
+    # a self-loop record, reversed duplicates of the last two edges, and
+    # pairs with a node outside the train component.
+    pairs = [(lab[u], lab[v]) for u, v in g.edge_array().tolist()]
+    order = np.random.default_rng(9).permutation(len(pairs)).tolist()
+    (a, b), (c, d) = pairs[order[-1]], pairs[order[-2]]
+    late = [(lab[0], lab[0]), (b, a), (d, c), ("new", lab[0]), ("new", "newer"), ("iso", lab[1])]
+    timed = [("iso", "lone")] + [pairs[i] for i in order] + late
+    splits.append(split_temporal(EdgeList(tuple(timed), tuple(range(len(timed)))), 0.7))
+    # A hand-built split whose test pairs repeat an edge in both orientations.
+    test_pairs = [(1, 3), (3, 1), (2, 4), (4, 1), (4, 4), (1, 9)]
+    splits.append(holdout_like_split([(1, 2), (2, 3), (3, 4), (1, 5)], test_pairs))
+    return splits
+
+
+def test_ground_truth_and_eligible_seed_edges_match_the_set_algebra_oracle():
+    rng = np.random.default_rng(10)
+    for split in _truth_oracle_splits():
+        train = split.train
+        edges = [tuple(e) for e in train.edge_array().tolist()]
+        others = [tuple(rng.choice(train.n, 2, replace=False).tolist()) for _ in range(10)]
+        for mode in ("and", "or"):
+            policy = EvalPolicy(truth_mode=mode)
+            want = {e: oracles.truth_oracle(split, e, mode) for e in edges + others}
+            assert {e: ground_truth(split, e, policy) for e in want} == want
+            assert _eligible_seed_edges(split, policy) == [e for e in edges if want[e]]
+
+
+@pytest.mark.parametrize("mode", ["and", "or"])
+@pytest.mark.parametrize("seed_edge", [(9, 0), (-1, 0), (0, -1)])
+def test_ground_truth_rejects_out_of_range_seed_nodes(mode, seed_edge):
+    split = holdout_like_split([(1, 2), (2, 3), (3, 4)], [(1, 4), (2, 4)])
+    assert split.train.n == 4
+    with pytest.raises(IndexError):
+        ground_truth(split, seed_edge, EvalPolicy(truth_mode=mode))
+
+
+def test_loeto_refuses_or_truth():
+    # loeto holds out both wedge edges of every triangle on the seed edge, so
+    # no node keeps one of them in train and 'or' truth is always empty.
+    g = small_gpa(steps=300)
+    for u, v in sorted(triangle_edges(enumerate_triangles(g)))[::10]:
+        split = split_loeto(g, (u, v))
+        idx = split.train.label_index
+        if g.labels[u] in idx and g.labels[v] in idx:
+            seed_edge = (idx[g.labels[u]], idx[g.labels[v]])
+            assert oracles.truth_oracle(split, seed_edge, "or") == frozenset()
+    with pytest.raises(ValueError, match="'or' truth"):
+        run_pairwise_experiment(g, "loeto", ["pairseed"], trials=3, truth_mode="or")
+
+
 def test_candidate_rules(couple):
     ix = couple.label_index
     u, v = ix["b1"], ix["b2"]
@@ -895,8 +953,8 @@ def _declared_context_fields(registry: str, train, split) -> dict:
         policy = EvalPolicy()
         u, v = _eligible_seed_edges(split, policy)[0]
         return dict(u=u, v=v, truth=ground_truth(split, (u, v), policy), candidates=candidate_nodes(train, u, v))
-    node = next(int(i) for i in np.argsort(-train.degrees, kind="stable") if int(i) in split.test_adjacency)
-    return dict(node=node, truth=frozenset(split.test_adjacency[node]))
+    node = next(int(i) for i in np.argsort(-train.degrees, kind="stable") if split.test_graph.degree(i))
+    return dict(node=node, truth=frozenset(split.test_graph.neighbors(node).tolist()))
 
 
 @pytest.mark.parametrize("registry, name", DECLARED)
