@@ -592,8 +592,10 @@ def run_pairwise_experiment(
     fresh triangles-out split per trial; invalid draws (seed endpoints or all
     truth lost to the component reduction) are discarded and resampled.
     loeto refuses ``or`` truth: it holds out both wedge edges of every
-    triangle on the seed edge, so no wedge edge is left in train. Trials run
-    in order, so results are deterministic for a given master seed.
+    triangle on the seed edge, so no wedge edge is left in train. It also
+    refuses ``allow_empty_truth``, since it redraws every empty-truth draw.
+    Trials run in order, so results are deterministic for a given master
+    seed.
 
     Trials on one train graph (every holdout/temporal trial, or one loeto
     trial) share a :class:`TrialContext` cache, so the triangles are listed
@@ -618,6 +620,11 @@ def run_pairwise_experiment(
         raise ValueError(
             "loeto holds out both wedge edges of every triangle on the seed edge, "
             "so 'or' truth (one wedge edge in train) is always empty"
+        )
+    if protocol == "loeto" and allow_empty_truth:
+        raise ValueError(
+            "loeto discards and redraws every seed edge with empty truth, "
+            "so allow_empty_truth would have no effect"
         )
     named = _resolve_methods(methods, PAIRWISE_METHODS)
     k_values = tuple(int(k) for k in k_values)

@@ -293,6 +293,7 @@ def test_exit_codes(tmp_path, gpa_file):
     (["pairwise", "--trials", "3", "--k", "5,5"], "k value 5 given twice"),
     (["pairwise", "--trials", "3", "--k", ","], "no k value"),
     (["pairwise", "--trials", "3", "--protocol", "loeto", "--truth-mode", "or"], "'or' truth"),
+    (["pairwise", "--trials", "3", "--protocol", "loeto", "--allow-empty-truth"], "empty truth"),
 ])
 def test_bad_cohort_methods_and_k_values_write_nothing(gpa_file, tmp_path, capsys, argv, offender):
     out = tmp_path / "out"

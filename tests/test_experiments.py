@@ -400,6 +400,14 @@ def test_loeto_refuses_or_truth():
         run_pairwise_experiment(g, "loeto", ["pairseed"], trials=3, truth_mode="or")
 
 
+def test_loeto_refuses_allow_empty_truth():
+    # loeto discards and redraws every draw with empty truth, so the flag
+    # could only be recorded in the metadata, never take effect.
+    with pytest.raises(ValueError, match="redraws every seed edge with empty truth"):
+        run_pairwise_experiment(small_gpa(steps=300), "loeto", ["pairseed"], trials=3,
+                                allow_empty_truth=True)
+
+
 def test_candidate_rules(couple):
     ix = couple.label_index
     u, v = ix["b1"], ix["b2"]

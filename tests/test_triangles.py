@@ -275,12 +275,67 @@ def test_contractions_bit_equal_to_blockwise_reference(monkeypatch, gnp300, bloc
         assert np.array_equal(tensor_bilinear(ts, x, y), want)
 
 
-def test_corner_index_is_cached_per_triangle_set(k5):
+def test_corner_index_is_cached_per_triangle_set(monkeypatch, k5):
     ts = enumerate_triangles(k5)
     tensor_row_sums(ts, np.ones(k5.n))
     index = ts._corner_index
     tensor_bilinear(ts, np.ones(k5.n), np.ones(k5.n))
     assert ts._corner_index is index
-    (idx,) = index
+    ((idx, scatter),) = index
     assert np.array_equal(idx, ts.triples.T.ravel())
     assert not idx.flags.writeable
+    # In blocks of 4 the 10 triangles make three blocks, the last one short.
+    monkeypatch.setattr(triangles_mod, "_BLOCK", 4)
+    blocks = TriangleSet(k5.n, ts.triples)._corner_index
+    assert len(blocks) == 3
+    ones = blocks[0][1].data.base
+    for lo, (idx, scatter) in zip(range(0, ts.count, 4), blocks):
+        assert np.array_equal(idx, ts.triples[lo : lo + 4].T.ravel())
+        assert not idx.flags.writeable
+        # Row i of the scatter lists, ascending, the positions whose corner is i.
+        assert scatter.shape == (k5.n, len(idx))
+        for i in range(k5.n):
+            row = scatter.indices[scatter.indptr[i] : scatter.indptr[i + 1]]
+            assert np.array_equal(row, np.flatnonzero(idx == i))
+        assert scatter.indices.dtype == scatter.indptr.dtype == np.int32
+        assert scatter.data.base is ones
+        assert np.all(scatter.data == 1.0)
+    assert not ones.flags.writeable
+
+
+def test_empty_triangle_set_contracts_to_zeros():
+    ts = TriangleSet(4, np.empty((0, 3), dtype=np.int64))
+    x, y = np.array([1.0, -2.0, np.inf, -0.0]), np.arange(4.0)
+    for got, want in [
+        (tensor_row_sums(ts, x), oracles.blockwise_row_sums(ts.triples, 4, x, 7)),
+        (tensor_bilinear(ts, x, y), oracles.blockwise_bilinear(ts.triples, 4, x, y, 7)),
+    ]:
+        np.testing.assert_array_equal(got, np.zeros(4))
+        np.testing.assert_array_equal(got, want)
+    assert ts._corner_index == ()
+
+
+def test_contractions_bit_equal_to_blockwise_reference_on_edge_values(monkeypatch):
+    # K5 plus node 5, which is in no triangle. Its 10 triangles in blocks of
+    # 7 make one full block and a short last one.
+    g = build_graph(EdgeList(tuple((i, j) for i in range(5) for j in range(i + 1, 5)) + ((4, 5),)))
+    monkeypatch.setattr(triangles_mod, "_BLOCK", 7)
+    ts = enumerate_triangles(g)
+    assert ts.count == 10 and 5 not in ts.triples
+    rng = np.random.default_rng(3)
+    vectors = [
+        rng.normal(size=g.n),  # mixed signs
+        np.array([-0.0, 1.5, -0.0, -2.0, 0.0, 3.0]),
+        np.array([np.inf, -1.0, 2.0, -0.0, 1e308, -1e308]),
+        np.array([-np.inf, 0.0, -0.0, np.inf, -5.0, 7.0]),
+    ]
+    # inf - inf, 0 * inf and 1e308 * 2 are meant here: NaN must match NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in vectors:
+            for y in vectors:
+                want = oracles.blockwise_row_sums(ts.triples, g.n, x, 7)
+                np.testing.assert_array_equal(tensor_row_sums(ts, x), want)
+                want = oracles.blockwise_bilinear(ts.triples, g.n, x, y, 7)
+                got = tensor_bilinear(ts, x, y)
+                np.testing.assert_array_equal(got, want)
+                assert got[5] == 0.0
