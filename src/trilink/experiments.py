@@ -16,7 +16,10 @@ solution, and it carries those nodes as ``fn.seeds``. Every context on one
 train graph shares a cache that lists the triangles once and solves each
 node's single-seed PageRank vector once. Both harnesses build their
 contexts on a train graph first, then solve in one batch the seeds that
-their methods carry, then score. A loeto trial's train graph is a subgraph
+their methods carry, then score. linkpred's ``max`` and ``max-singles``
+also carry the neighbours whose vectors they read only through their
+elementwise max; those are solved block by block and folded into one
+running max per node, never kept. A loeto trial's train graph is a subgraph
 of the parent graph, so its triangles are taken from the parent's list
 (enumerated once per run) rather than enumerated again, and only when a
 method reads them.
@@ -35,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .diffusion import DiffusionParams, _ranks, make_seed, pagerank_many, seed_columns, trpr
+from .diffusion import DiffusionParams, _block_width, _ranks, make_seed, pagerank_many, seed_columns, trpr
 from .graph import (
     DataError,
     EdgeList,
@@ -346,9 +349,12 @@ class TrialContext:
     ``truth`` holds the ground-truth nodes (linkpred: the node's held-out
     partners) and ``candidates`` the rankable nodes. All methods in a trial
     receive the same context, and all contexts on one train graph share
-    ``cache``, so its triangles and single-seed vectors are computed once.
-    When ``cache`` holds ``"parent"``, a ``(TriangleSet, Graph)`` pair of a
-    graph that ``train`` is a subgraph of, the triangles are taken from the
+    ``cache``, so its triangles, single-seed vectors and maxima are computed
+    once. A vector asked for through :meth:`singles` stays cached as long as
+    ``cache`` lives, which is the whole run on one train graph; a vector
+    solved for :meth:`maxima` is dropped once it is folded in. When
+    ``cache`` holds ``"parent"``, a ``(TriangleSet, Graph)`` pair of a graph
+    that ``train`` is a subgraph of, the triangles are taken from the
     parent's list instead of being enumerated."""
 
     train: Graph
@@ -375,15 +381,59 @@ class TrialContext:
     def singles(self, nodes: Iterable[int]) -> dict[int, np.ndarray]:
         """Single-seed PageRank vectors of ``nodes``, by node; those not
         cached yet are solved together in one :func:`pagerank_many` call,
-        whose columns are bit-equal to lone solves."""
+        whose columns are bit-equal to lone solves. They stay cached for as
+        long as ``cache`` lives."""
         nodes = list(dict.fromkeys(nodes))
         missing = [i for i in nodes if i not in self.cache]
         if missing:
-            seeds = seed_columns(self.train.n, [make_seed(self.train, "single", i) for i in missing])
-            sols = pagerank_many(self.train, seeds, self.params)
+            sols = self._solve(missing)
             for col, i in enumerate(missing):
                 self.cache[i] = sols[:, col]
         return {i: self.cache[i] for i in nodes}
+
+    def maxima(self, groups: Iterable[Sequence[int]]) -> list[np.ndarray]:
+        """The elementwise max of the single-seed vectors of each group of
+        nodes, cached by group. A vector in the cache is read from it. The
+        others are solved in blocks of :func:`_block_width` columns, one
+        :func:`pagerank_many` call per block and each node once; each column
+        is folded into the running max of every group that lists it, and the
+        block is dropped, so only the maxima stay cached. A max of NaN-free
+        values is exact, so the order of the folds changes no bit."""
+        keys = [("max", *group) for group in groups]
+        users: dict[int, list[tuple]] = {}
+        for key in dict.fromkeys(k for k in keys if k not in self.cache):
+            if len(key) == 1:
+                raise ValueError("max of an empty group of vectors")
+            for j in key[1:]:
+                users.setdefault(j, []).append(key)
+        acc: dict[tuple, np.ndarray] = {}
+
+        def fold(j: int, x: np.ndarray) -> None:
+            for key in users[j]:
+                if key in acc:
+                    np.maximum(acc[key], x, out=acc[key])
+                else:
+                    acc[key] = x.copy()
+
+        missing = []
+        for j in users:
+            if j in self.cache:
+                fold(j, self.cache[j])
+            else:
+                missing.append(j)
+        width = _block_width(self.train.n)
+        for lo in range(0, len(missing), width):
+            block = missing[lo : lo + width]
+            sols = self._solve(block)
+            for col, j in enumerate(block):
+                fold(j, sols[:, col])
+            del sols  # before the next block is solved
+        self.cache.update(acc)
+        return [self.cache[key] for key in keys]
+
+    def _solve(self, nodes: list[int]) -> np.ndarray:
+        seeds = seed_columns(self.train.n, [make_seed(self.train, "single", i) for i in nodes])
+        return pagerank_many(self.train, seeds, self.params)
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -403,16 +453,23 @@ Method = Callable[[TrialContext], np.ndarray]
 Seeds = Callable[[TrialContext], list[int]]
 
 
-def _pagerank_method(seeds: Seeds, combine: Callable[..., np.ndarray]) -> Method:
+def _pagerank_method(seeds: Seeds, combine: Callable[..., np.ndarray], maxed: Seeds | None = None) -> Method:
     """A method that combines the single-seed PageRank vectors of the nodes
-    ``seeds`` lists on a context, in that order. ``seeds`` is kept as
-    ``fn.seeds``, so the harnesses can solve it for all their contexts in
-    one batch before scoring (see ``_solve_declared``)."""
+    ``seeds`` lists on a context, in that order, and last, when ``maxed`` is
+    given, the elementwise max of the vectors of the nodes it lists (see
+    :meth:`TrialContext.maxima`). Both are kept on the method, as
+    ``fn.seeds`` and ``fn.maxed``, so the harnesses can solve them for all
+    their contexts before scoring (see ``_solve_declared``)."""
 
     def fn(ctx: TrialContext) -> np.ndarray:
-        return combine(*ctx.singles(seeds(ctx)).values())
+        vectors = list(ctx.singles(seeds(ctx)).values())
+        if maxed is not None:
+            vectors += ctx.maxima([maxed(ctx)])
+        return combine(*vectors)
 
     fn.seeds = seeds
+    if maxed is not None:
+        fn.maxed = maxed
     return fn
 
 
@@ -451,15 +508,19 @@ def _endpoints(ctx: TrialContext) -> list[int]:
     return [ctx.u, ctx.v]
 
 
-def _closed_singles(ctx: TrialContext) -> list[int]:
-    return [ctx.node, *ctx.train.neighbors(ctx.node).tolist()]
+def _node(ctx: TrialContext) -> list[int]:
+    return [ctx.node]
+
+
+def _neighbours(ctx: TrialContext) -> list[int]:
+    return ctx.train.neighbors(ctx.node).tolist()
 
 
 # sum aggregates the pair-seed vectors of node i's edges, which by linearity
 # is i's weighted-star vector. On an undirected graph that vector and the
 # star vector are positive multiples of the single vector x_i away from i,
 # and i is never a candidate, so both rank every candidate as x_i does.
-_single = _pagerank_method(lambda ctx: [ctx.node], _same)
+_single = _pagerank_method(_node, _same)
 
 
 PAIRWISE_METHODS: dict[str, Method] = {
@@ -478,10 +539,12 @@ PAIRWISE_METHODS: dict[str, Method] = {
 LINKPRED_METHODS: dict[str, Method] = {
     "single": _single,
     "sum": _single,
-    "max": _pagerank_method(
-        _closed_singles, lambda x_i, *x_nbrs: np.maximum.reduce([(x_i + x_j) / 2.0 for x_j in x_nbrs])
-    ),
-    "max-singles": _pagerank_method(_closed_singles, lambda *x: np.maximum.reduce(x)),
+    # max is max_j (x_i + x_j) / 2 over i's neighbours j, and max-singles
+    # the max over i and its neighbours. Rounding is monotone, so with
+    # m = max_j x_j both are computed from x_i and m with the same bits, and
+    # the neighbours' vectors are only folded into m, never kept.
+    "max": _pagerank_method(_node, lambda x_i, m: (x_i + m) / 2.0, maxed=_neighbours),
+    "max-singles": _pagerank_method(_node, np.maximum, maxed=_neighbours),
     "star": _single,
     "trpr": _trpr_method(lambda ctx: ("star", ctx.node)),
     "oracle": _oracle(1.0),
@@ -489,12 +552,16 @@ LINKPRED_METHODS: dict[str, Method] = {
 
 
 def _solve_declared(named: list[tuple[str, Method]], contexts: Sequence[TrialContext]) -> None:
-    """Solve, in one batch on their shared cache, the seeds that the methods
-    among ``named`` that carry ``seeds`` read on ``contexts``, in first-use
-    order. A method without ``seeds`` is solved when it asks."""
-    declared = [fn.seeds for _, fn in named if hasattr(fn, "seeds")]
+    """Solve, on the contexts' shared cache, what the methods among
+    ``named`` declare they read on ``contexts``: first, in one batch and in
+    first-use order, the nodes their ``fn.seeds`` list, then the maxima
+    their ``fn.maxed`` groups name, streamed through blocks by
+    :meth:`TrialContext.maxima`, which reads the vectors the first step
+    cached. A method that declares neither is solved when it asks."""
     if contexts:
-        contexts[0].singles(i for ctx in contexts for seeds in declared for i in seeds(ctx))
+        fns = [fn for _, fn in named]
+        contexts[0].singles(i for ctx in contexts for fn in fns if hasattr(fn, "seeds") for i in fn.seeds(ctx))
+        contexts[0].maxima(fn.maxed(ctx) for ctx in contexts for fn in fns if hasattr(fn, "maxed"))
 
 
 DEFAULT_PAIRWISE_METHODS = (
@@ -786,8 +853,14 @@ def run_standard_linkpred(
     partners as positives. The summary compares every method to the
     single-seed baseline, including the mean signed distance to the y = x
     diagonal of the method-vs-baseline AUC scatter. Cohort nodes are scored
-    in order; before scoring, the seeds that the methods carry as
-    ``fn.seeds`` are solved for every scored node in one batch.
+    in order. Before scoring, the vectors the methods declare are solved
+    for every scored node (see ``_solve_declared``): the single-seed vectors
+    of the scored nodes in one batch, then each distinct neighbour once, in
+    blocks that ``max`` and ``max-singles`` fold into one running max per
+    node and drop. So the vectors held at once are about 2 x cohort x n
+    floats plus one block, whatever the neighbourhood sizes. A function
+    listed under several names (``single``, ``sum`` and ``star`` are one)
+    is called, checked and ranked once per node, and reported under each.
     """
     if num_nodes < 1:
         raise ValueError("num_nodes must be >= 1")
@@ -816,17 +889,23 @@ def run_standard_linkpred(
             contexts.append(replace(basis, node=i, candidates=cands, truth=positives))
     skipped = len(cohort) - len(contexts)
     _solve_declared(named, contexts)
+    # single, sum and star are one function: score it once per node.
+    names_of: dict[Method, list[str]] = {}
+    for name, fn in named:
+        names_of.setdefault(fn, []).append(name)
     rows: list[LinkpredNodeRow] = []
     per_method: dict[str, list[float]] = {name: [] for name, _ in named}
     baseline_aucs: list[float] = []
     for ctx in contexts:
         i = ctx.node
-        res = [(name, auc(_method_output(name, fn(ctx), train.n), ctx.truth, ctx.candidates))
-               for name, fn in named]
-        baseline_aucs.append(dict(res)[LINKPRED_BASELINE])
-        for name, a in res:
-            rows.append(LinkpredNodeRow(train.labels[i], train.degree(i), name, a))
-            per_method[name].append(a)
+        res = {}
+        for fn, names in names_of.items():
+            a = auc(_method_output(names[0], fn(ctx), train.n), ctx.truth, ctx.candidates)
+            res.update(dict.fromkeys(names, a))
+        baseline_aucs.append(res[LINKPRED_BASELINE])
+        for name, _ in named:
+            rows.append(LinkpredNodeRow(train.labels[i], train.degree(i), name, res[name]))
+            per_method[name].append(res[name])
 
     base = np.asarray(baseline_aucs)
     summary = []

@@ -705,20 +705,25 @@ def test_linkpred_sum_equals_weighted_star_seed():
     assert np.abs(agg - direct).max() <= 1e-9
 
 
-def test_linkpred_solves_its_seeds_in_one_batch(monkeypatch):
-    # The built-in methods declare their seeds, so one pagerank_many call
-    # solves the closed-neighbourhood singles of the scored nodes, none of
-    # the skipped nodes', and no lone pagerank solve runs. star and sum score
-    # with the node's single vector, and get the AUCs of lone solves of their
-    # own star and weighted-star seeds.
+def test_linkpred_solves_each_column_once(monkeypatch):
+    # The built-in methods declare what they read, so the harness solves the
+    # scored nodes' singles in one batch, then their neighbours in blocks:
+    # each node of the scored closed neighbourhoods once, none of the
+    # skipped nodes', and no lone pagerank solve. Only the scored nodes'
+    # vectors stay cached. max and max-singles equal their definitions on
+    # lone solves and the scores of a context solved when it asks; star and
+    # sum score with the node's single vector, and get the AUCs of lone
+    # solves of their own star and weighted-star seeds.
     import trilink.diffusion as dif
     import trilink.experiments as ex
 
-    lone, batches = [], []
-    seen: dict[str, list] = {"single": [], "star": [], "sum": []}
+    lone, solved = [], []
+    names = ("single", "sum", "max", "max-singles", "star", "trpr")
+    seen: dict[str, list] = {name: [] for name in names if name != "trpr"}
     batch = ex.pagerank_many
     monkeypatch.setattr(dif, "pagerank", lambda *a, **kw: lone.append(a) or pagerank(*a, **kw))
-    monkeypatch.setattr(ex, "pagerank_many", lambda g, s, p: batches.append(s.shape[1]) or batch(g, s, p))
+    monkeypatch.setattr(ex, "pagerank_many",
+                        lambda g, s, p: solved.append(s.indices.tolist()) or batch(g, s, p))
 
     def recording(name):
         fn = ex.LINKPRED_METHODS[name]
@@ -728,13 +733,14 @@ def test_linkpred_solves_its_seeds_in_one_batch(monkeypatch):
             seen[name].append((ctx, vals))
             return vals
 
+        rec.__dict__.update(vars(fn))  # keep what fn declares
         return rec
 
     for name in seen:
         monkeypatch.setitem(ex.LINKPRED_METHODS, name, recording(name))
-    res = run_standard_linkpred(small_gpa(steps=400), num_nodes=30, rng_seed=4)
+    res = run_standard_linkpred(small_gpa(steps=400), num_nodes=30, methods=names, rng_seed=4)
     monkeypatch.undo()
-    assert lone == [] and len(batches) == 1
+    assert lone == []
 
     train = seen["single"][0][0].train
     scored = [ctx.node for ctx, _ in seen["single"]]
@@ -744,8 +750,27 @@ def test_linkpred_solves_its_seeds_in_one_batch(monkeypatch):
     def closed_singles(nodes):
         return {j for i in nodes for j in [i, *train.neighbors(i).tolist()]}
 
+    columns = [j for block in solved for j in block]
     assert len(closed_singles(cohort)) > len(closed_singles(scored))
-    assert batches == [len(closed_singles(scored))]
+    assert len(columns) == len(set(columns)) == len(closed_singles(scored))
+    assert set(columns) == closed_singles(scored)
+    assert solved[0] == scored and len(solved) > 2
+    assert all(len(block) <= dif._block_width(train.n) for block in solved[1:])
+    cache = seen["single"][0][0].cache
+    assert {key for key in cache if isinstance(key, int)} == set(scored)
+
+    for name in ("max", "max-singles"):
+        assert [ctx.node for ctx, _ in seen[name]] == scored
+        for ctx, vals in seen[name]:
+            x_i = pagerank(train, make_seed(train, "single", ctx.node))
+            x_nbrs = [pagerank(train, make_seed(train, "single", j)) for j in train.neighbors(ctx.node)]
+            if name == "max":
+                want = np.maximum.reduce([(x_i + x_j) / 2.0 for x_j in x_nbrs])
+            else:
+                want = np.maximum.reduce([x_i, *x_nbrs])
+            assert np.array_equal(vals, want)
+            lazy = LINKPRED_METHODS[name](TrialContext(train, ctx.params, node=ctx.node))
+            assert np.array_equal(vals, lazy)
     reported = {(r.node, r.method): r.auc for r in res.nodes}
     for name, kind in (("star", "star"), ("sum", "weighted-star")):
         assert [ctx.node for ctx, _ in seen[name]] == scored
@@ -753,6 +778,28 @@ def test_linkpred_solves_its_seeds_in_one_batch(monkeypatch):
             assert np.array_equal(vals, single)
             direct = pagerank(train, make_seed(train, kind, ctx.node))
             assert auc(direct, ctx.truth, ctx.candidates) == reported[train.labels[ctx.node], name]
+
+
+def test_linkpred_neighbourhood_max_holds_no_neighbour_vectors():
+    # max and max-singles read every neighbour's single vector of 100 cohort
+    # nodes, about 900 vectors here. The run holds three cohort x n arrays
+    # (the candidates, the cohort's singles and one running max per node),
+    # one block solve (its output and three n x width arrays) and less than
+    # 1 MiB of graphs and bookkeeping, never the neighbours' vectors.
+    import tracemalloc
+
+    import trilink.diffusion as dif
+
+    g = generate_gpa(GpaParams(p_edge=0.5, steps=3000, rng_seed=1))
+    tracemalloc.start()
+    try:
+        res = run_standard_linkpred(g, num_nodes=100, methods=["max", "max-singles"], rng_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, cohort = res.metadata["train_nodes"], res.metadata["cohort_size"]
+    assert cohort == 100
+    assert peak < 3 * 8 * cohort * n + 4 * 8 * n * dif._block_width(n) + 2**20
 
 
 def test_linkpred_rows_and_cohort_shrink():
@@ -967,9 +1014,10 @@ def _declared_context_fields(registry: str, train, split) -> dict:
 
 @pytest.mark.parametrize("registry, name", DECLARED)
 def test_declared_seeds_are_the_seeds_read(registry, name, monkeypatch):
-    # After the planned batch, scoring a built-in solves nothing more and
-    # reads exactly the seeds it declares; its scores equal those of an
-    # unplanned context, solved when it asks.
+    # After the planned solves, scoring a built-in solves nothing more and
+    # reads exactly the seeds and the maxima it declares, and the cache
+    # holds nothing else: a max keeps none of the vectors folded into it.
+    # Its scores equal those of an unplanned context, solved when it asks.
     import trilink.experiments as ex
 
     split = split_holdout(small_gpa(steps=400), 0.3, 5)
@@ -979,20 +1027,28 @@ def test_declared_seeds_are_the_seeds_read(registry, name, monkeypatch):
     ctx = TrialContext(train, DiffusionParams(), **kw)
     ex._solve_declared([(name, fn)], [ctx])
     declared = fn.seeds(ctx)
-    assert set(ctx.cache) == set(declared)
+    groups = [fn.maxed(ctx)] if hasattr(fn, "maxed") else []
+    assert set(ctx.cache) == {*declared, *(("max", *group) for group in groups)}
+    assert (registry == "linkpred" and name in ("max", "max-singles")) == bool(groups)
 
     batches = _count_batches(monkeypatch)
-    read = []
-    singles = TrialContext.singles
+    read, read_groups = [], []
+    singles, maxima = TrialContext.singles, TrialContext.maxima
 
     def recording(self, nodes):
         nodes = list(nodes)
         read.extend(nodes)
         return singles(self, nodes)
 
+    def recording_maxima(self, groups):
+        groups = list(groups)
+        read_groups.extend(groups)
+        return maxima(self, groups)
+
     monkeypatch.setattr(TrialContext, "singles", recording)
+    monkeypatch.setattr(TrialContext, "maxima", recording_maxima)
     planned = fn(ctx)
-    assert batches == [] and read == declared
+    assert batches == [] and read == declared and read_groups == groups
     monkeypatch.undo()
 
     lazy = fn(TrialContext(train, DiffusionParams(), **kw))
