@@ -36,6 +36,7 @@ from .experiments import (
 from .generators import GpaParams, generate_gpa
 from .graph import (
     DataError,
+    _read_edges,
     _token,
     build_graph,
     largest_connected_component,
@@ -178,8 +179,7 @@ def _build_parser() -> _Parser:
 
 
 def _load_graph(args):
-    edges = load_edge_list(args.input, has_timestamps=args.timestamps)
-    return largest_connected_component(build_graph(edges))
+    return largest_connected_component(build_graph(_read_edges(args.input, args.timestamps)))
 
 
 def cmd_pairwise(args) -> int:
@@ -311,8 +311,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_triangles(args) -> int:
-    edges = load_edge_list(args.input, has_timestamps=args.timestamps)
-    g = build_graph(edges)
+    g = build_graph(_read_edges(args.input, args.timestamps))
     ts = enumerate_triangles(g)
     print(ts.count)
     if args.list:

@@ -858,7 +858,8 @@ def run_standard_linkpred(
     of the scored nodes in one batch, then each distinct neighbour once, in
     blocks that ``max`` and ``max-singles`` fold into one running max per
     node and drop. So the vectors held at once are about 2 x cohort x n
-    floats plus one block, whatever the neighbourhood sizes. A function
+    floats plus one block, whatever the neighbourhood sizes; a node's
+    candidates are listed only while it is scored. A function
     listed under several names (``single``, ``sum`` and ``star`` are one)
     is called, checked and ranked once per node, and reported under each.
     """
@@ -880,13 +881,11 @@ def run_standard_linkpred(
     basis = TrialContext(train, params)
     contexts = []
     for i in cohort:
-        mask = np.ones(train.n, dtype=bool)
-        mask[train.neighbors(i)] = False
-        mask[i] = False
-        cands = np.flatnonzero(mask)
+        # The candidates, i's non-neighbours other than i, are listed when
+        # i is scored; here only their count is needed.
         positives = frozenset(split.test_graph.neighbors(i).tolist())
-        if positives and len(positives) < len(cands):
-            contexts.append(replace(basis, node=i, candidates=cands, truth=positives))
+        if positives and len(positives) < train.n - 1 - train.degree(i):
+            contexts.append(replace(basis, node=i, truth=positives))
     skipped = len(cohort) - len(contexts)
     _solve_declared(named, contexts)
     # single, sum and star are one function: score it once per node.
@@ -898,6 +897,10 @@ def run_standard_linkpred(
     baseline_aucs: list[float] = []
     for ctx in contexts:
         i = ctx.node
+        mask = np.ones(train.n, dtype=bool)
+        mask[train.neighbors(i)] = False
+        mask[i] = False
+        ctx = replace(ctx, candidates=np.flatnonzero(mask))
         res = {}
         for fn, names in names_of.items():
             a = auc(_method_output(names[0], fn(ctx), train.n), ctx.truth, ctx.candidates)

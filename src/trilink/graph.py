@@ -2,6 +2,8 @@
 
 Graphs are loaded from whitespace-delimited edge lists, cleaned (self loops
 and duplicate edges removed), and stored as CSR-style sorted neighbor arrays.
+The loader keeps each record as a pair of indices into the distinct labels,
+and the graph is built from that array with numpy.
 Original node identifiers survive as an index <-> label bijection so that
 experiment reports can name nodes the way the input file did.
 """
@@ -9,10 +11,12 @@ experiment reports can name nodes the way the input file did.
 from __future__ import annotations
 
 import logging
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, count
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,18 +72,30 @@ def _token(tok: str) -> Label:
     return value if str(value) == tok else tok
 
 
-def load_edge_list(source, has_timestamps: bool = False) -> EdgeList:
-    """Parse an edge-list stream into an :class:`EdgeList`.
+@dataclass(frozen=True)
+class _IndexedEdges:
+    """What :func:`load_edge_list` reads, before it makes label pairs: each
+    record as a row of indices into ``labels``, the distinct labels in order
+    of first appearance over the records. :func:`build_graph` takes it as it
+    is."""
 
-    ``source`` may be a path or an open text/byte stream. Lines hold "u v"
-    (or "u v t" with ``has_timestamps``); '#'/'%' lines and blank lines are
-    skipped. Self-loop records are dropped and counted; duplicates are kept.
-    """
+    index: np.ndarray  # shape (records, 2), int64
+    labels: list[Label]
+    times: list[int] | None = None
+    self_loops_dropped: int = 0
+
+
+def _read_edges(source, has_timestamps: bool) -> _IndexedEdges:
+    """The one line loop of the loader; see :func:`load_edge_list`. Each
+    distinct token is kept once, in a dict that gives its index, and read
+    by :func:`_token` once. Distinct tokens are distinct labels, so a record
+    is a self loop exactly when its two tokens are the same string."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            return load_edge_list(fh, has_timestamps)
+            return _read_edges(fh, has_timestamps)
     want = 3 if has_timestamps else 2
-    pairs: list[tuple[Label, Label]] = []
+    index: dict[str, int] = {}
+    flat = array("q")
     times: list[int] = []
     loops = 0
     for lineno, raw in enumerate(source, start=1):
@@ -93,21 +109,41 @@ def load_edge_list(source, has_timestamps: bool = False) -> EdgeList:
             raise ParseError(
                 f"line {lineno}: expected {want} fields, got {len(fields)}: {line!r}"
             )
-        u, v = _token(fields[0]), _token(fields[1])
         if has_timestamps:
             try:
                 t = int(fields[2])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer timestamp {fields[2]!r}")
+        u, v = fields[0], fields[1]
         if u == v:
             loops += 1
             continue
-        pairs.append((u, v))
+        flat.append(index.setdefault(u, len(index)))
+        flat.append(index.setdefault(v, len(index)))
         if has_timestamps:
             times.append(t)
     if loops:
         log.debug("dropped %d self-loop record(s)", loops)
-    return EdgeList(tuple(pairs), tuple(times) if has_timestamps else None, loops)
+    return _IndexedEdges(
+        np.frombuffer(flat, dtype=np.int64).reshape(-1, 2),
+        list(map(_token, index)),
+        times if has_timestamps else None,
+        loops,
+    )
+
+
+def load_edge_list(source, has_timestamps: bool = False) -> EdgeList:
+    """Parse an edge-list stream into an :class:`EdgeList`.
+
+    ``source`` may be a path or an open text/byte stream. Lines hold "u v"
+    (or "u v t" with ``has_timestamps``); '#'/'%' lines and blank lines are
+    skipped. Self-loop records are dropped and counted; duplicates are kept.
+    """
+    edges = _read_edges(source, has_timestamps)
+    ends = map(edges.labels.__getitem__, edges.index.ravel().tolist())
+    pairs = tuple(zip(ends, ends))
+    times = None if edges.times is None else tuple(edges.times)
+    return EdgeList(pairs, times, edges.self_loops_dropped)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,36 +218,72 @@ class Graph:
         return np.column_stack([src[mask], self.indices[mask]])
 
 
-def build_graph(edges: EdgeList | Iterable[tuple[Label, Label]]) -> Graph:
+def build_graph(edges: EdgeList | _IndexedEdges | Iterable[tuple[Label, Label]]) -> Graph:
     """Build a simple undirected graph, assigning dense indices in
-    first-appearance order and collapsing duplicate/reversed records."""
-    pairs = edges.pairs if isinstance(edges, EdgeList) else tuple(edges)
+    first-appearance order and collapsing duplicate/reversed records.
+
+    Labels are ints or strs. Labels that compare equal are one node, so a
+    numpy integer is stored as the ``int`` it equals; a bool or float label,
+    numpy ones too, raises :class:`DataError`, since it would merge with an
+    int (``True == 1 == 1.0``) yet be written apart."""
+    if not isinstance(edges, _IndexedEdges):
+        edges = _index_labels(edges.pairs if isinstance(edges, EdgeList) else tuple(edges))
+    return _index_graph(edges.index, edges.labels)
+
+
+def _index_labels(pairs: tuple[tuple[Label, Label], ...]) -> _IndexedEdges:
+    """Label pairs as rows of indices into their distinct labels."""
     if not pairs:
         raise DataError("cannot build a graph from an empty edge list")
-    index: dict[Label, int] = {}
-    seen: set[tuple[int, int]] = set()
-    dedup: list[tuple[int, int]] = []
-    loops = dups = 0
-    for u, v in pairs:
-        if u == v:
-            loops += 1
-            continue
-        iu = index.setdefault(u, len(index))
-        iv = index.setdefault(v, len(index))
-        key = (iu, iv) if iu < iv else (iv, iu)
-        if key in seen:
-            dups += 1
-            continue
-        seen.add(key)
-        dedup.append(key)
+    if set(map(len, pairs)) != {2}:
+        raise ValueError("every edge record must be a pair of labels")
+    # By type over every label: a dict would merge True into 1 unseen.
+    kinds = set(map(type, chain.from_iterable(pairs)))
+    bad = tuple(k for k in kinds if issubclass(k, (bool, np.bool_, float, np.floating)))
+    if bad:
+        label = next(w for w in chain.from_iterable(pairs) if isinstance(w, bad))
+        raise DataError(f"label {label!r} is a {type(label).__name__}; node labels must be ints or strs")
+    index = dict(zip(dict.fromkeys(chain.from_iterable(pairs)), count()))
+    codes = np.fromiter(map(index.__getitem__, chain.from_iterable(pairs)), dtype=np.int64, count=2 * len(pairs))
+    labels: list[Label] = list(index)
+    if any(issubclass(k, np.integer) for k in kinds):
+        labels = [int(w) if isinstance(w, np.integer) else w for w in labels]
+    return _IndexedEdges(codes.reshape(-1, 2), labels)
+
+
+def _index_graph(e: np.ndarray, labels: Sequence[Label]) -> Graph:
+    """Graph from an (m, 2) int64 array of records given as indices into
+    ``labels``, which are numbered in order of first appearance over the
+    records: self loops dropped, nodes numbered in order of first appearance
+    over the kept records, repeated and reversed records merged."""
+    if len(e) == 0:
+        raise DataError("cannot build a graph from an empty edge list")
+    kept = e[:, 0] != e[:, 1]
+    loops = len(e) - int(np.count_nonzero(kept))
+    if loops:
+        # A dropped record may hold a label's first appearance, or its only one.
+        e = e[kept]
+        if len(e) == 0:
+            raise DataError("edge list contains no usable edges")
+        e, nodes = _first_appearance(e)
+        labels = tuple(map(labels.__getitem__, nodes.tolist()))
+    n = len(labels)
+    keys = np.sort(np.minimum(e[:, 0], e[:, 1]) * n + np.maximum(e[:, 0], e[:, 1]))
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    dups = len(e) - len(keys)
     if loops or dups:
         log.debug("build_graph removed %d self-loop(s), %d duplicate(s)", loops, dups)
-    if not dedup:
-        raise DataError("edge list contains no usable edges")
-    labels = [None] * len(index)
-    for lab, i in index.items():
-        labels[i] = lab
-    return _from_index_pairs(np.asarray(dedup, dtype=np.int64), tuple(labels))
+    return _from_index_pairs(np.column_stack([keys // n, keys % n]), tuple(labels))
+
+
+def _first_appearance(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``e`` renumbered 0, 1, ... in order of first appearance (row by row),
+    and the old number of each new one."""
+    nodes, first, inverse = np.unique(e, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse].reshape(e.shape), nodes[order]
 
 
 def edge_subgraph(g: Graph, edges: np.ndarray) -> Graph:
@@ -224,23 +296,20 @@ def edge_subgraph(g: Graph, edges: np.ndarray) -> Graph:
     edges = np.asarray(edges, dtype=np.int64)
     if len(edges) == 0:
         raise DataError("cannot build a graph from an empty edge list")
-    nodes, first, inverse = np.unique(edges, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    lab = g.labels
-    labels = tuple(lab[i] for i in nodes[order].tolist())
-    return _from_index_pairs(rank[inverse].reshape(edges.shape), labels)
+    e, nodes = _first_appearance(edges)
+    return _from_index_pairs(e, tuple(map(g.labels.__getitem__, nodes.tolist())))
 
 
 def _from_index_pairs(e: np.ndarray, labels: tuple[Label, ...]) -> Graph:
     """CSR graph from an (m, 2) array of distinct undirected dense-index edges."""
     n = len(labels)
-    und = np.vstack([e, e[:, ::-1]])
-    und = und[np.lexsort((und[:, 1], und[:, 0]))]
+    # Both directions of every edge as the key i * n + j; sorted, they list
+    # each row's neighbours in order, row after row.
+    keys = np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]])
+    keys.sort()
     indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(np.bincount(und[:, 0], minlength=n))
-    return Graph(indptr=indptr, indices=und[:, 1].copy(), labels=labels)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return Graph(indptr=indptr, indices=keys % n, labels=labels)
 
 
 def to_edge_list(g: Graph) -> EdgeList:

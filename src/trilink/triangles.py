@@ -99,37 +99,31 @@ def enumerate_triangles(g: Graph) -> TriangleSet:
     2008).
     """
     n = g.n
-    src = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
-    fwd = src < g.indices
     # The oriented edges, sorted by (i, j); edge e's later forward neighbors
     # of i sit right after it in ``heads``.
-    tails, heads = src[fwd], g.indices[fwd].astype(np.int64)
+    tails, heads = g.edge_array().T
     # A sentinel past every key keeps each search result a valid index.
     keys = np.append(tails * n + heads, n * n)
+    # Edge e closes a wedge with each later forward neighbor of its tail;
+    # its wedges are numbered starts[e] .. ends[e] - 1, and wedge w takes
+    # its k from heads[e + 1 + w - starts[e]].
     row_end = np.cumsum(np.bincount(tails, minlength=n))
-    wedges = row_end[tails] - np.arange(len(tails)) - 1
-    ends = np.cumsum(wedges)
-    starts = ends - wedges
-    # The wedges of edge e are numbered starts[e] .. ends[e] - 1; wedge w
-    # takes its k from heads[w + shift[e]].
-    shift = np.arange(1, len(tails) + 1) - starts
-    head_keys = heads * n
-    hit_e: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    hit_k: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    ends = np.cumsum(row_end[tails] - np.arange(1, len(tails) + 1))
+    starts = np.append(0, ends[:-1])
+    # Each chunk's closed wedges, as (hits, 3) rows; joined once at the end.
+    found = [np.empty((0, 3), dtype=np.int64)]
     total = int(ends[-1]) if len(ends) else 0
     for lo in range(0, total, _BLOCK):
         hi = min(lo + _BLOCK, total)
         e0 = int(np.searchsorted(ends, lo, side="right"))
         e1 = int(np.searchsorted(starts, hi, side="left"))
         e = np.repeat(np.arange(e0, e1), np.minimum(ends[e0:e1], hi) - np.maximum(starts[e0:e1], lo))
-        k = heads[shift[e] + np.arange(lo, hi)]
-        want = head_keys[e] + k
+        k = heads[e + 1 - starts[e] + np.arange(lo, hi)]
+        want = heads[e] * n + k
         closed = keys[np.searchsorted(keys, want)] == want
-        hit_e.append(e[closed])
-        hit_k.append(k[closed])
-    e = np.concatenate(hit_e)
-    triples = np.column_stack([tails[e], heads[e], np.concatenate(hit_k)])
-    return TriangleSet(n=n, triples=triples)
+        e = e[closed]
+        found.append(np.column_stack([tails[e], heads[e], k[closed]]))
+    return TriangleSet(n=n, triples=np.concatenate(found))
 
 
 def subgraph_triangles(ts: TriangleSet, g: Graph, sub: Graph) -> TriangleSet:

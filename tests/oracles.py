@@ -15,7 +15,7 @@ import numpy as np
 from scipy import stats
 from scipy.sparse.csgraph import connected_components
 
-from trilink import EdgeList, Graph, build_graph, largest_connected_component
+from trilink import DataError, EdgeList, Graph, ParseError, build_graph, largest_connected_component
 from trilink.experiments import SplitDataset
 
 
@@ -282,6 +282,74 @@ def truth_oracle(split: SplitDataset, seed_edge: tuple[int, int], truth_mode: st
         if hit:
             truth.add(i)
     return frozenset(truth)
+
+
+# -- edge-list loading --------------------------------------------------------
+
+
+def _token(tok: str):
+    """A node id token: an int when it is that int's canonical spelling."""
+    try:
+        value = int(tok)
+    except ValueError:
+        return tok
+    return value if str(value) == tok else tok
+
+
+def load_edge_list(stream, has_timestamps: bool = False) -> EdgeList:
+    """The loader as one loop that keeps a tuple per record: '#'/'%' and
+    blank lines skipped, a ParseError on a wrong field count or timestamp,
+    self-loop records dropped and counted, duplicates kept."""
+    want = 3 if has_timestamps else 2
+    pairs, times, loops = [], [], 0
+    for lineno, raw in enumerate(stream, start=1):
+        if isinstance(raw, bytes):
+            raw = raw.decode("utf-8")
+        line = raw.strip()
+        if not line or line[0] in "#%":
+            continue
+        fields = line.split()
+        if len(fields) != want:
+            raise ParseError(f"line {lineno}: expected {want} fields, got {len(fields)}: {line!r}")
+        u, v = _token(fields[0]), _token(fields[1])
+        if has_timestamps:
+            try:
+                t = int(fields[2])
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer timestamp {fields[2]!r}")
+        if u == v:
+            loops += 1
+            continue
+        pairs.append((u, v))
+        if has_timestamps:
+            times.append(t)
+    return EdgeList(tuple(pairs), tuple(times) if has_timestamps else None, loops)
+
+
+def build_csr(pairs) -> tuple[list[int], list[int], tuple]:
+    """``(indptr, indices, labels)`` of the simple graph on label pairs, by
+    one loop over the records: self loops skipped, labels indexed in order
+    of first appearance, each unordered pair kept once."""
+    if not pairs:
+        raise DataError("cannot build a graph from an empty edge list")
+    index: dict = {}
+    seen: set[tuple[int, int]] = set()
+    for u, v in pairs:
+        if u == v:
+            continue
+        iu = index.setdefault(u, len(index))
+        iv = index.setdefault(v, len(index))
+        seen.add((min(iu, iv), max(iu, iv)))
+    if not seen:
+        raise DataError("edge list contains no usable edges")
+    rows: list[list[int]] = [[] for _ in index]
+    for a, b in seen:
+        rows[a].append(b)
+        rows[b].append(a)
+    indptr = [0]
+    for row in rows:
+        indptr.append(indptr[-1] + len(row))
+    return indptr, [j for row in rows for j in sorted(row)], tuple(index)
 
 
 # -- random instances ---------------------------------------------------------

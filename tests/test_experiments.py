@@ -780,16 +780,27 @@ def test_linkpred_solves_each_column_once(monkeypatch):
             assert auc(direct, ctx.truth, ctx.candidates) == reported[train.labels[ctx.node], name]
 
 
-def test_linkpred_neighbourhood_max_holds_no_neighbour_vectors():
+def test_linkpred_neighbourhood_max_holds_no_neighbour_vectors(monkeypatch):
     # max and max-singles read every neighbour's single vector of 100 cohort
-    # nodes, about 900 vectors here. The run holds three cohort x n arrays
-    # (the candidates, the cohort's singles and one running max per node),
-    # one block solve (its output and three n x width arrays) and less than
-    # 1 MiB of graphs and bookkeeping, never the neighbours' vectors.
+    # nodes, about 900 vectors here. The run holds two cohort x n arrays
+    # (the cohort's singles and one running max per node), one block solve
+    # (its output and three n x width arrays) and less than 1 MiB of graphs
+    # and bookkeeping, never the neighbours' vectors. The contexts hold no
+    # candidates when the vectors are solved: each node's are listed when it
+    # is scored.
     import tracemalloc
 
     import trilink.diffusion as dif
+    import trilink.experiments as ex
 
+    held = []
+    solve = ex._solve_declared
+
+    def recording(named, contexts):
+        held.append(sum(ctx.candidates.nbytes for ctx in contexts if ctx.candidates is not None))
+        return solve(named, contexts)
+
+    monkeypatch.setattr(ex, "_solve_declared", recording)
     g = generate_gpa(GpaParams(p_edge=0.5, steps=3000, rng_seed=1))
     tracemalloc.start()
     try:
@@ -799,7 +810,8 @@ def test_linkpred_neighbourhood_max_holds_no_neighbour_vectors():
         tracemalloc.stop()
     n, cohort = res.metadata["train_nodes"], res.metadata["cohort_size"]
     assert cohort == 100
-    assert peak < 3 * 8 * cohort * n + 4 * 8 * n * dif._block_width(n) + 2**20
+    assert held == [0]
+    assert peak < 2 * 8 * cohort * n + 4 * 8 * n * dif._block_width(n) + 2**20
 
 
 def test_linkpred_rows_and_cohort_shrink():

@@ -115,6 +115,64 @@ def test_first_appearance_indexing():
     assert g.labels == (7, 3, 9)
 
 
+def test_first_appearance_skips_self_loops():
+    # 5's first record is a self loop, and 8 is on no other record.
+    g = build_graph(((5, 5), (1, 2), (8, 8), (2, 5), (5, 1)))
+    assert g.labels == (1, 2, 5)
+    assert (g.n, g.m) == (3, 3)
+    with pytest.raises(DataError, match="no usable edges"):
+        build_graph(((1, 1), (2, 2)))
+
+
+@pytest.mark.parametrize(
+    "pairs, bad",
+    [
+        (((1, 2), (True, 3)), True),
+        (((1, 2), (1.0, 3)), 1.0),
+        (((1, 2), (np.float64(1.0), 3)), np.float64(1.0)),
+        (((1, 2), (np.bool_(True), 3)), np.bool_(True)),
+        (((1, 2), (True, 3), (1.0, 4), (np.int64(1), 5)), True),
+    ],
+)
+def test_build_refuses_bool_and_float_labels(pairs, bad):
+    # Each equals the int label 1 and would merge into its node, yet be
+    # written apart. The check sees every label, not only the distinct ones.
+    with pytest.raises(DataError, match=re.escape(f"label {bad!r}")):
+        build_graph(pairs)
+
+
+def test_build_stores_numpy_integers_as_int():
+    g = build_graph(((np.int64(1), 2), (1, 5), (np.int32(7), np.int64(2))))
+    assert g.labels == (1, 2, 5, 7)
+    assert [type(w) for w in g.labels] == [int, int, int, int]
+    assert g.m == 3
+
+
+def test_cli_load_holds_no_record_tuples(tmp_path):
+    # The CLI parses a file into one int64 pair per record and builds the
+    # graph with numpy. Its peak is a dozen 8-byte words per edge: the
+    # records, the doubled edge keys and their sort, the graph's arrays. A
+    # Python tuple per record alone costs more than that.
+    import argparse
+    import tracemalloc
+
+    from trilink.cli import _load_graph
+
+    g = oracles.gnp_graph(600, 0.1, rng_seed=5)
+    path = tmp_path / "gnp.tsv"
+    write_edge_list(path, g)
+    args = argparse.Namespace(input=str(path), timestamps=False)
+    tracemalloc.start()
+    try:
+        loaded = _load_graph(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    public = largest_connected_component(build_graph(load_edge_list(path)))
+    assert loaded.labels == public.labels and np.array_equal(loaded.indices, public.indices)
+    assert peak < 12 * 8 * g.m
+
+
 def _label_edges(g):
     return {frozenset((g.labels[u], g.labels[v])) for u, v in g.edge_array()}
 

@@ -35,6 +35,7 @@ from trilink import (
 )
 from trilink.diffusion import SEED_KINDS, _ranks, rank_stability
 from trilink.experiments import _best_truth_rank
+from trilink.graph import _read_edges
 from trilink.triangles import subgraph_triangles, triangle_edges
 
 import oracles
@@ -265,3 +266,66 @@ def path_forests(draw):
 def test_largest_component_equals_scipy(g):
     lcc = largest_connected_component(g)
     assert lcc.labels == tuple(g.labels[i] for i in oracles.scipy_lcc_nodes(g))
+
+
+@st.composite
+def edge_list_texts(draw):
+    """An edge-list text and whether its records carry timestamps: '#' and
+    '%' lines, blank lines, CRLF and LF endings, spaces and tabs, self
+    loops, repeated and reversed records, the tokens of TOKENS, and now and
+    then a line with a wrong field count or a timestamp that is no int."""
+    timed = draw(st.booleans())
+    token = st.sampled_from(TOKENS)
+    sep = st.sampled_from([" ", "\t", " \t ", "  "])
+    kinds = ["record"] * 6 + ["repeat", "reverse", "comment", "blank"]
+    records: list[tuple[str, str]] = []
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=25)):
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["#", "%", "# 1 2", "%1 2"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+        else:
+            if kind == "record" or not records:
+                u, v = draw(token), draw(token)
+            else:
+                u, v = draw(st.sampled_from(records))
+                if kind == "reverse":
+                    u, v = v, u
+            records.append((u, v))
+            stamp = draw(sep) + str(draw(st.integers(-3, 3))) if timed else ""
+            lines.append(u + draw(sep) + v + stamp)
+    bad = draw(st.sampled_from([None] * 8 + ["1", "1 2 3 4", "a b x", "1 2 1.5"]))
+    if bad is not None:
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return "".join(draw(st.sampled_from(["", " "])) + ln + draw(st.sampled_from(["\n", "\r\n"])) for ln in lines), timed
+
+
+def _csr(g):
+    return g.indptr.tolist(), g.indices.tolist(), g.labels
+
+
+def _outcome(fn):
+    """What ``fn()`` returns, or the type and text of the DataError it raises."""
+    try:
+        return fn()
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(edge_list_texts())
+def test_loading_matches_the_reference_loops(case):
+    # The CLI reads a file into index arrays and builds from them; the public
+    # path makes label pairs first. Both give the reference loops' graph, or
+    # their error text, and load_edge_list their records.
+    text, timed = case
+    want_edges = _outcome(lambda: oracles.load_edge_list(io.StringIO(text), timed))
+    assert _outcome(lambda: load_edge_list(io.StringIO(text), timed)) == want_edges
+    assert _outcome(lambda: load_edge_list(io.BytesIO(text.encode()), timed)) == want_edges
+    if isinstance(want_edges, EdgeList):
+        want = _outcome(lambda: oracles.build_csr(want_edges.pairs))
+    else:
+        want = want_edges
+    assert _outcome(lambda: _csr(build_graph(_read_edges(io.StringIO(text), timed)))) == want
+    assert _outcome(lambda: _csr(build_graph(load_edge_list(io.StringIO(text), timed)))) == want

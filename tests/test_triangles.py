@@ -107,6 +107,24 @@ def test_triples_sorted_contiguous_readonly():
     assert np.array_equal(np.lexsort(t.T[::-1]), np.arange(len(t)))
 
 
+def test_enumeration_holds_the_result_twice_at_most():
+    # The chunks' closed triples are kept as (hits, 3) blocks and joined
+    # once, so the peak is the blocks and their join (twice the result),
+    # five words per edge (the (m, 2) edge array, the keys, the wedge ends
+    # and starts) and four words per wedge of one chunk.
+    import tracemalloc
+
+    g = oracles.gnp_graph(600, 0.1, rng_seed=5)
+    tracemalloc.start()
+    try:
+        ts = enumerate_triangles(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ts.count > 30_000
+    assert peak < 2 * ts.triples.nbytes + 5 * 8 * g.m + 4 * 8 * triangles_mod._BLOCK
+
+
 def test_per_node_counts_match_networkx():
     nx = pytest.importorskip("networkx")
     h = nx.gnp_random_graph(200, 0.1, seed=3)
