@@ -11,7 +11,6 @@ metrics, plus neighborhood-seeded standard link prediction.
 from .diffusion import (
     DiffusionParams,
     SeedVector,
-    convergence_trace,
     make_seed,
     pagerank,
     pagerank_many,
@@ -56,16 +55,7 @@ from .graph import (
     to_edge_list,
     write_edge_list,
 )
-from .local import (
-    aa_edge,
-    aa_node,
-    js_edge,
-    js_node,
-    local_combined,
-    pa_edge,
-    pa_node,
-    score_all_nodes,
-)
+from .local import score_all_nodes
 from .triangles import (
     TriangleSet,
     enumerate_triangles,
@@ -92,24 +82,16 @@ __all__ = [
     "SplitDataset",
     "TriangleSet",
     "TrialReport",
-    "aa_edge",
-    "aa_node",
     "auc",
     "build_graph",
     "candidate_nodes",
-    "convergence_trace",
     "edge_neighborhood",
     "enumerate_triangles",
     "generate_gpa",
     "ground_truth",
-    "js_edge",
-    "js_node",
     "largest_connected_component",
     "load_edge_list",
-    "local_combined",
     "make_seed",
-    "pa_edge",
-    "pa_node",
     "pagerank",
     "pagerank_many",
     "pair_seeded_pagerank",

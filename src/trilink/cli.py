@@ -272,7 +272,7 @@ def cmd_diagnose(args) -> int:
     ref = min(params.iterations, args.max_iters)
     x = x_ref = seed.dense(g.n)
     top = top_ref = top_k_indices(x, args.top_k)
-    rows = ["iter,l1_delta,spearman_full,kendall_full,spearman_top100,kendall_top100\n"]
+    rows = [f"iter,l1_delta,spearman_full,kendall_full,spearman_top{args.top_k},kendall_top{args.top_k}\n"]
     for i, x_next, _, delta in trpr_iterates(g, ts, seed, params, args.weighted, iterations=args.max_iters):
         top_next = top_k_indices(x_next, args.top_k)
         keep = np.union1d(top, top_next)

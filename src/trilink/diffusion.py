@@ -24,7 +24,7 @@ from .triangles import TriangleSet, reinforced_matrix_apply, tensor_row_sums
 
 log = logging.getLogger("trilink")
 
-SEED_KINDS = ("single", "pair", "star", "weighted-star")
+SEED_KINDS = ("single", "pair", "star")
 
 # Bytes of one n x width block of a batched power iteration. A block holds
 # three (the iterate, the next one and the step before), so at 512 KiB they
@@ -90,8 +90,7 @@ def make_seed(g: Graph, kind: str, u: int, v: int | None = None) -> SeedVector:
     """Build a teleport distribution.
 
     single: all mass at u. pair: half at u, half at v. star: uniform over
-    the closed neighborhood of u. weighted-star: degree(u) at u and 1 at
-    each neighbor, normalized (the aggregate of u's pair seeds).
+    the closed neighborhood of u.
     """
     g._check_node(u)
     if kind == "single":
@@ -101,18 +100,14 @@ def make_seed(g: Graph, kind: str, u: int, v: int | None = None) -> SeedVector:
             raise ValueError("pair seed requires two distinct nodes")
         g._check_node(v)
         return SeedVector({u: 0.5, v: 0.5})
-    if kind in ("star", "weighted-star"):
+    if kind == "star":
         nbrs = g.neighbors(u)
         d = len(nbrs)
         if d == 0:
             raise ValueError(f"star seed on isolated node {u}")
-        if kind == "star":
-            w = 1.0 / (d + 1)
-            ent = {int(j): w for j in nbrs}
-            ent[u] = w
-        else:
-            ent = {int(j): 1.0 / (2 * d) for j in nbrs}
-            ent[u] = 0.5
+        w = 1.0 / (d + 1)
+        ent = {int(j): w for j in nbrs}
+        ent[u] = w
         return SeedVector(ent)
     raise ValueError(f"unknown seed kind {kind!r}; expected one of {SEED_KINDS}")
 
@@ -237,6 +232,8 @@ def _pagerank_columns(
     return out.T, taken, floored
 
 
+# Two names for pagerank(g, make_seed(...)). No protocol calls them; they stay
+# because perfbench/spans.py's TRACED binds both by name.
 def single_seeded_pagerank(g: Graph, u: int, params: DiffusionParams = DiffusionParams()) -> np.ndarray:
     return pagerank(g, make_seed(g, "single", u), params)
 
@@ -303,21 +300,6 @@ def trpr(
     for _, x, _, _ in trpr_iterates(g, ts, seed, params, weighted):
         pass
     return x
-
-
-def convergence_trace(
-    g: Graph,
-    ts: TriangleSet,
-    seed: SeedVector,
-    params: DiffusionParams = DiffusionParams(),
-    max_iters: int = 200,
-    weighted: bool = False,
-) -> list[tuple[int, float]]:
-    """L1 difference between consecutive reinforced iterates, per iteration."""
-    return [
-        (i, delta)
-        for i, _, _, delta in trpr_iterates(g, ts, seed, params, weighted, iterations=max_iters)
-    ]
 
 
 def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:

@@ -517,9 +517,10 @@ def _neighbours(ctx: TrialContext) -> list[int]:
 
 
 # sum aggregates the pair-seed vectors of node i's edges, which by linearity
-# is i's weighted-star vector. On an undirected graph that vector and the
-# star vector are positive multiples of the single vector x_i away from i,
-# and i is never a candidate, so both rank every candidate as x_i does.
+# is the PageRank vector of the aggregate of i's pair seeds (degree(i) at i,
+# 1 at each neighbour, normalized). On an undirected graph that vector and
+# the star vector are positive multiples of the single vector x_i away from
+# i, and i is never a candidate, so both rank every candidate as x_i does.
 _single = _pagerank_method(_node, _same)
 
 
@@ -730,7 +731,7 @@ def run_pairwise_experiment(
 
     else:  # loeto
         ts_full = enumerate_triangles(g)
-        tri_edge_list = sorted(triangle_edges(ts_full))
+        tri_edge_list = triangle_edges(ts_full)
         if not tri_edge_list:
             raise DataError("graph has no triangles; cannot run the triangles-out protocol")
 

@@ -7,9 +7,8 @@ neighborhoods minus the endpoints), and MAX/MUL combine the two endpoint
 scores instead.
 
 Every score is computed in one place, :func:`_set_scores`, which scores all
-nodes at once with sparse products. Each single-node function reads one
-entry of such an all-node vector, so a call costs O(n + m); callers that
-rank many nodes should use :func:`score_all_nodes`.
+nodes at once with sparse products; :func:`score_all_nodes` is the one
+entry point, and a single node's score is its entry of that vector.
 """
 
 from __future__ import annotations
@@ -19,11 +18,6 @@ import numpy as np
 from .graph import Graph, edge_neighborhood
 
 LOCAL_METHODS = ("js", "aa", "pa", "js-max", "js-mul", "aa-max", "aa-mul")
-
-
-def _check_distinct(w: int, *others: int) -> None:
-    if w in others:
-        raise ValueError(f"node {w} coincides with a seed endpoint")
 
 
 def _aa_weights(g: Graph) -> np.ndarray:
@@ -51,48 +45,6 @@ def _set_scores(g: Graph, s: np.ndarray, base: str) -> np.ndarray:
         union = deg + len(s) - inter
         return np.divide(inter, union, out=np.zeros(g.n), where=union > 0)
     return g.adjacency @ (ind * _aa_weights(g))
-
-
-def _node_entry(g: Graph, w: int, u: int, base: str) -> float:
-    _check_distinct(w, u)
-    g._check_node(w)
-    return float(_set_scores(g, g.neighbors(u), base)[w])
-
-
-def _edge_entry(g: Graph, w: int, edge: tuple[int, int], method: str) -> float:
-    _check_distinct(w, *edge)
-    g._check_node(w)
-    return float(score_all_nodes(g, edge, method)[w])
-
-
-def js_node(g: Graph, w: int, u: int) -> float:
-    return _node_entry(g, w, u, "js")
-
-
-def aa_node(g: Graph, w: int, u: int) -> float:
-    return _node_entry(g, w, u, "aa")
-
-
-def pa_node(g: Graph, w: int, u: int) -> float:
-    return _node_entry(g, w, u, "pa")
-
-
-def js_edge(g: Graph, w: int, edge: tuple[int, int]) -> float:
-    return _edge_entry(g, w, edge, "js")
-
-
-def aa_edge(g: Graph, w: int, edge: tuple[int, int]) -> float:
-    return _edge_entry(g, w, edge, "aa")
-
-
-def pa_edge(g: Graph, w: int, edge: tuple[int, int]) -> float:
-    return _edge_entry(g, w, edge, "pa")
-
-
-def local_combined(g: Graph, w: int, edge: tuple[int, int], base: str, mode: str) -> float:
-    """MAX or MUL (``mode``) of the node-node ``base`` score ('js' or 'aa')
-    against both endpoints."""
-    return _edge_entry(g, w, edge, f"{base}-{mode}")
 
 
 def score_all_nodes(g: Graph, edge: tuple[int, int], method: str) -> np.ndarray:

@@ -232,9 +232,10 @@ def reinforced_matrix_apply(
     return gamma * tensor_bilinear(ts, x, y) + g.adjacency @ y
 
 
-def triangle_edges(ts: TriangleSet) -> set[tuple[int, int]]:
-    """The set of edges (u < v) participating in at least one triangle."""
+def triangle_edges(ts: TriangleSet) -> list[tuple[int, int]]:
+    """The edges (u < v) in at least one triangle, in (u, v) order: the
+    unique keys u * n + v come sorted."""
     a, b, c = ts.triples.T
     n = ts.n
     keys = np.unique(np.concatenate([a * n + b, a * n + c, b * n + c]))
-    return set(zip((keys // n).tolist(), (keys % n).tolist()))
+    return list(zip((keys // n).tolist(), (keys % n).tolist()))

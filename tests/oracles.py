@@ -15,7 +15,7 @@ import numpy as np
 from scipy import stats
 from scipy.sparse.csgraph import connected_components
 
-from trilink import DataError, EdgeList, Graph, ParseError, build_graph, largest_connected_component
+from trilink import DataError, EdgeList, Graph, ParseError, SeedVector, build_graph, largest_connected_component
 from trilink.experiments import SplitDataset
 
 
@@ -69,6 +69,18 @@ def pagerank_direct(g: Graph, seed_dense: np.ndarray, alpha: float) -> np.ndarra
     p = a / a.sum(axis=0, keepdims=True)
     n = g.n
     return np.linalg.solve(np.eye(n) - alpha * p, (1 - alpha) * seed_dense)
+
+
+def weighted_star_seed(g: Graph, u: int) -> SeedVector:
+    """The aggregate of u's pair seeds: the mean over u's neighbors j of the
+    seed with half its mass at u and half at j, which is degree(u) at u and 1
+    at each neighbor, normalized."""
+    nbrs = [int(j) for j in g.neighbors(u)]
+    ent = {u: 0.0}
+    for j in nbrs:
+        ent[u] += 0.5 / len(nbrs)
+        ent[j] = 0.5 / len(nbrs)
+    return SeedVector(ent)
 
 
 def power_steps(g: Graph, seed_dense: np.ndarray, alpha: float, steps: int) -> np.ndarray:

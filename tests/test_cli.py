@@ -126,7 +126,7 @@ def test_diagnose_rows_match_stored_iterates(gpa_file, tmp_path):
     params = DiffusionParams(alpha=0.85, iterations=6)
     its = [seed.dense(g.n)] + [x for _, x, _, _ in trpr_iterates(g, ts, seed, params, iterations=15)]
     deltas = [d for _, _, _, d in trpr_iterates(g, ts, seed, params, iterations=15)]
-    want = ["iter,l1_delta,spearman_full,kendall_full,spearman_top100,kendall_top100"]
+    want = ["iter,l1_delta,spearman_full,kendall_full,spearman_top20,kendall_top20"]
     for i in range(1, 16):
         stats = rank_stability(its[i - 1], its[i]) + rank_stability(its[i - 1], its[i], top_k=20)
         want.append(",".join([str(i), repr(deltas[i - 1])] + [repr(x) for x in stats]))

@@ -17,15 +17,13 @@ nx = pytest.importorskip("networkx")
 from trilink import (
     DiffusionParams,
     GpaParams,
-    aa_node,
     enumerate_triangles,
     generate_gpa,
-    js_node,
     largest_connected_component,
     make_seed,
-    pa_node,
     pagerank,
     pair_seeded_pagerank,
+    score_all_nodes,
 )
 
 import oracles
@@ -72,16 +70,18 @@ def test_triangle_count_matches_networkx():
 
 
 def test_node_similarities_match_networkx():
+    # The -max and -mul scores combine the node-node scores of w against
+    # each endpoint; pa is degree(w) times the size of the edge neighborhood.
     rng = np.random.default_rng(88)
     for _ in range(15):
         g = largest_connected_component(oracles.random_graph(rng))
         if g.n < 3:
             continue
         h = to_nx(g)
-        w, u = (int(x) for x in rng.choice(g.n, size=2, replace=False))
-        ((_, _, js),) = nx.jaccard_coefficient(h, [(w, u)])
-        assert js_node(g, w, u) == pytest.approx(js, abs=1e-12)
-        ((_, _, aa),) = nx.adamic_adar_index(h, [(w, u)])
-        assert aa_node(g, w, u) == pytest.approx(aa, abs=1e-12)
-        ((_, _, pa),) = nx.preferential_attachment(h, [(w, u)])
-        assert pa_node(g, w, u) == pytest.approx(pa, abs=1e-12)
+        w, u, v = (int(x) for x in rng.choice(g.n, size=3, replace=False))
+        for base, index in (("js", nx.jaccard_coefficient), ("aa", nx.adamic_adar_index)):
+            ((_, _, a), (_, _, b)) = index(h, [(w, u), (w, v)])
+            assert score_all_nodes(g, (u, v), f"{base}-max")[w] == pytest.approx(max(a, b), abs=1e-12)
+            assert score_all_nodes(g, (u, v), f"{base}-mul")[w] == pytest.approx(a * b, abs=1e-12)
+        nbhd = (set(h[u]) | set(h[v])) - {u, v}
+        assert score_all_nodes(g, (u, v), "pa")[w] == pytest.approx(h.degree(w) * len(nbhd), abs=1e-12)

@@ -13,7 +13,6 @@ from trilink import (
     SeedVector,
     TriangleSet,
     build_graph,
-    convergence_trace,
     enumerate_triangles,
     generate_gpa,
     GpaParams,
@@ -71,18 +70,21 @@ def test_make_seed_kinds(star4):
     star = make_seed(star4, "star", c)
     assert set(star.entries) == {c, ix["a"], ix["b"], ix["x"], ix["y"]}
     assert all(abs(w - 0.2) < 1e-15 for w in star.entries.values())
-    ws = make_seed(star4, "weighted-star", c)
-    assert ws.entries[c] == 0.5
-    assert all(abs(ws.entries[ix[t]] - 1 / 8) < 1e-15 for t in "abxy")
     with pytest.raises(ValueError):
         make_seed(star4, "pair", c, c)
-    with pytest.raises(ValueError):
-        make_seed(star4, "frob", c)
+    for kind in ("frob", "weighted-star"):
+        with pytest.raises(ValueError, match="unknown seed kind"):
+            make_seed(star4, kind, c)
 
 
-def test_weighted_star_three_leaf():
+def test_weighted_star_three_leaf(star4):
+    # The reference seed of the formula check below: the mean of the pair
+    # seeds of c's edges.
+    ws = oracles.weighted_star_seed(star4, star4.label_index["c"])
+    assert ws.entries[star4.label_index["c"]] == 0.5
+    assert all(abs(ws.entries[star4.label_index[t]] - 1 / 8) < 1e-15 for t in "abxy")
     g = build_graph(EdgeList((("c", "a"), ("c", "b"), ("c", "x"))))
-    ws = make_seed(g, "weighted-star", g.label_index["c"])
+    ws = oracles.weighted_star_seed(g, g.label_index["c"])
     # normalize (3,1,1,1): center 1/2, each leaf 1/6
     assert abs(ws.entries[g.label_index["c"]] - 0.5) < 1e-15
     assert abs(ws.entries[g.label_index["a"]] - 1 / 6) < 1e-15
@@ -216,12 +218,7 @@ def test_pagerank_many_sparse_seeds_bit_equal_to_dense_without_a_dense_copy():
     # holds its n x k output and a few n x 64 blocks, never an n x k copy of
     # the seeds (that alone would be 7.8 blocks here).
     g = largest_connected_component(generate_gpa(GpaParams(p_edge=0.5, steps=600, rng_seed=3)))
-    kinds = ("single", "pair", "star", "weighted-star")
-    seeds = []
-    for c in range(500):
-        u = c % g.n
-        kind = kinds[c % 4]
-        seeds.append(make_seed(g, kind, u, int(g.neighbors(u)[0]) if kind == "pair" else None))
+    seeds = _mixed_seeds(g, 500)
     s = seed_columns(g.n, seeds)
     want = pagerank_many(g, np.column_stack([seed.dense(g.n) for seed in seeds]))
     tracemalloc.start()
@@ -315,12 +312,14 @@ def test_pagerank_many_stops_where_the_lone_sum_says_under_the_einsum_screen():
 
 
 def _mixed_seeds(g: Graph, count: int) -> list[SeedVector]:
-    kinds = ("single", "pair", "star", "weighted-star")
-    seeds = []
-    for c in range(count):
-        u, kind = c % g.n, kinds[c % 4]
-        seeds.append(make_seed(g, kind, u, int(g.neighbors(u)[0]) if kind == "pair" else None))
-    return seeds
+    """Single, pair, star and weighted-star seeds in turn."""
+    kinds = (
+        lambda u: make_seed(g, "single", u),
+        lambda u: make_seed(g, "pair", u, int(g.neighbors(u)[0])),
+        lambda u: make_seed(g, "star", u),
+        lambda u: oracles.weighted_star_seed(g, u),
+    )
+    return [kinds[c % 4](c % g.n) for c in range(count)]
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 7, 64])
@@ -520,7 +519,7 @@ def test_trprw_gamma_balances_weights(couple):
 def test_convergence_trace_zero_triangles(path3):
     ts = enumerate_triangles(path3)
     seed = make_seed(path3, "pair", 0, 1)
-    trace = convergence_trace(path3, ts, seed, max_iters=15)
+    trace = [(i, delta) for i, _, _, delta in trpr_iterates(path3, ts, seed, iterations=15)]
     # reduction: deltas equal plain power-iteration deltas
     prev = seed.dense(3)
     for i, delta in trace:
@@ -535,8 +534,7 @@ def test_convergence_trace_zero_triangles(path3):
 def test_convergence_trace_decays(couple):
     ts = enumerate_triangles(couple)
     seed = make_seed(couple, "pair", 0, 1)
-    trace = convergence_trace(couple, ts, seed, max_iters=60)
-    deltas = [d for _, d in trace]
+    deltas = [d for _, _, _, d in trpr_iterates(couple, ts, seed, iterations=60)]
     assert all(np.isfinite(d) for d in deltas)
     assert deltas[-1] < deltas[0] * 1e-3
 
@@ -614,6 +612,6 @@ def test_star_and_weighted_star_are_affine_in_the_single_vector():
         e = np.zeros(g.n)
         e[i] = 1.0
         star = pagerank(g, make_seed(g, "star", i), params)
-        wstar = pagerank(g, make_seed(g, "weighted-star", i), params)
+        wstar = pagerank(g, oracles.weighted_star_seed(g, i), params)
         assert np.abs(star - ((1 + d / a) * x - d * (1 - a) / a * e) / (d + 1)).max() < 1e-10
         assert np.abs(wstar - (x + (x - (1 - a) * e) / a) / 2).max() < 1e-10

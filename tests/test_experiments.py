@@ -240,7 +240,7 @@ def test_loeto_triangles_from_parent_list():
     for gseed in (2, 3, 4):
         g = small_gpa(seed=gseed, steps=300)
         ts = enumerate_triangles(g)
-        seeds = sorted(triangle_edges(ts))
+        seeds = triangle_edges(ts)
         rng = np.random.default_rng(gseed)
         for i in rng.choice(len(seeds), size=8, replace=False):
             _, got = assert_loeto_triangles_from_parent(g, ts, *seeds[i])
@@ -264,7 +264,7 @@ def test_loeto_triangles_from_parent_list_when_lcc_drops_nodes(couple, triangle_
     for g in (couple, triangle_pendant, k4_and_triangle):
         ts = enumerate_triangles(g)
         sizes = [assert_loeto_triangles_from_parent(g, ts, u, v)[0].train.n
-                 for u, v in sorted(triangle_edges(ts))]
+                 for u, v in triangle_edges(ts)]
         assert min(sizes) < g.n
 
 
@@ -346,7 +346,7 @@ def _truth_oracle_splits() -> list:
     g = small_gpa(seed=5, steps=200)
     lab = g.labels
     splits = [split_holdout(g, 0.3, seed) for seed in (1, 2)]
-    tri = sorted(triangle_edges(enumerate_triangles(g)))
+    tri = triangle_edges(enumerate_triangles(g))
     splits += [split_loeto(g, tri[i]) for i in np.random.default_rng(8).choice(len(tri), 3, replace=False)]
     # Temporal records, in time order after a random order of the edges: a
     # 2-node component that trains outside the largest one; then, held out,
@@ -390,7 +390,7 @@ def test_loeto_refuses_or_truth():
     # loeto holds out both wedge edges of every triangle on the seed edge, so
     # no node keeps one of them in train and 'or' truth is always empty.
     g = small_gpa(steps=300)
-    for u, v in sorted(triangle_edges(enumerate_triangles(g)))[::10]:
+    for u, v in triangle_edges(enumerate_triangles(g))[::10]:
         split = split_loeto(g, (u, v))
         idx = split.train.label_index
         if g.labels[u] in idx and g.labels[v] in idx:
@@ -701,7 +701,7 @@ def test_linkpred_sum_equals_weighted_star_seed():
     vecs = [pair_seeded_pagerank(train, node, int(j)) for j in train.neighbors(node)]
     agg = np.sum(vecs, axis=0)
     agg = agg / agg.sum()
-    direct = pagerank(train, make_seed(train, "weighted-star", node))
+    direct = pagerank(train, oracles.weighted_star_seed(train, node))
     assert np.abs(agg - direct).max() <= 1e-9
 
 
@@ -772,11 +772,13 @@ def test_linkpred_solves_each_column_once(monkeypatch):
             lazy = LINKPRED_METHODS[name](TrialContext(train, ctx.params, node=ctx.node))
             assert np.array_equal(vals, lazy)
     reported = {(r.node, r.method): r.auc for r in res.nodes}
-    for name, kind in (("star", "star"), ("sum", "weighted-star")):
+    seeds = {"star": lambda i: make_seed(train, "star", i),
+             "sum": lambda i: oracles.weighted_star_seed(train, i)}
+    for name, seed in seeds.items():
         assert [ctx.node for ctx, _ in seen[name]] == scored
         for (ctx, vals), (_, single) in zip(seen[name], seen["single"]):
             assert np.array_equal(vals, single)
-            direct = pagerank(train, make_seed(train, kind, ctx.node))
+            direct = pagerank(train, seed(ctx.node))
             assert auc(direct, ctx.truth, ctx.candidates) == reported[train.labels[ctx.node], name]
 
 
