@@ -25,7 +25,6 @@ from .diffusion import (
 from .experiments import (
     DEFAULT_LINKPRED_METHODS,
     DEFAULT_PAIRWISE_METHODS,
-    EvalPolicy,
     LinkpredResult,
     PairwiseResult,
     SplitDataset,
@@ -38,7 +37,6 @@ from .experiments import (
     split_holdout,
     split_loeto,
     split_temporal,
-    success_probability,
     write_linkpred_reports,
     write_pairwise_reports,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "DEFAULT_LINKPRED_METHODS",
     "DEFAULT_PAIRWISE_METHODS",
     "EdgeList",
-    "EvalPolicy",
     "GpaParams",
     "Graph",
     "LinkpredResult",
@@ -105,7 +102,6 @@ __all__ = [
     "split_holdout",
     "split_loeto",
     "split_temporal",
-    "success_probability",
     "tensor_bilinear",
     "tensor_row_sums",
     "to_edge_list",

@@ -133,7 +133,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--k", default="5,25", help="comma-separated top-k cutoffs")
     sp.add_argument("--trials", type=int, default=500)
     sp.add_argument("--truth-mode", choices=["and", "or"], default="and")
-    sp.add_argument("--candidate-rule", choices=["either", "both"], default=None)
     sp.add_argument("--allow-empty-truth", action="store_true")
     sp.add_argument("--timestamps", action="store_true", help="input lines are 'u v t'")
     sp.set_defaults(fn=cmd_pairwise)
@@ -196,7 +195,6 @@ def cmd_pairwise(args) -> int:
         trials=args.trials,
         fraction=args.fraction,
         truth_mode=args.truth_mode,
-        candidate_rule=args.candidate_rule,
         params=params,
         rng_seed=args.seed,
         allow_empty_truth=args.allow_empty_truth,

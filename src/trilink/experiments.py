@@ -38,7 +38,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .diffusion import DiffusionParams, _block_width, _ranks, make_seed, pagerank_many, seed_columns, trpr
+from .diffusion import (DiffusionParams, _block_width, _ranks, make_seed, pagerank_many, seed_columns,
+                        top_k_indices, trpr)
 from .graph import (
     DataError,
     EdgeList,
@@ -56,34 +57,7 @@ log = logging.getLogger("trilink")
 
 
 # ---------------------------------------------------------------------------
-# policies and reports
-
-
-@dataclass(frozen=True)
-class EvalPolicy:
-    """k: top-k cutoff; truth_mode: 'and' needs both wedge edges held out,
-    'or' exactly one (the other in train); candidate_rule: which nodes are
-    struck from the ranking ('either' = adjacent to either seed endpoint,
-    'both' = adjacent to both). None derives the rule from the truth mode,
-    which keeps ground-truth nodes rankable in both modes."""
-
-    k: int = 5
-    truth_mode: str = "and"
-    candidate_rule: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.truth_mode not in ("and", "or"):
-            raise ValueError("truth_mode must be 'and' or 'or'")
-        if self.candidate_rule not in (None, "either", "both"):
-            raise ValueError("candidate_rule must be None, 'either' or 'both'")
-
-    @property
-    def rule(self) -> str:
-        if self.candidate_rule is not None:
-            return self.candidate_rule
-        return "either" if self.truth_mode == "and" else "both"
+# reports
 
 
 @dataclass(frozen=True)
@@ -224,6 +198,14 @@ def split_loeto(g: Graph, seed_edge: tuple[int, int]) -> SplitDataset:
 # ground truth, candidates, metrics
 
 
+# The candidate rule of each truth mode: a rule strikes from the ranking the
+# nodes train-adjacent to either seed endpoint, or to both. Train and test
+# edges are disjoint, so an 'and' truth node is train-adjacent to neither
+# endpoint and an 'or' truth node to exactly one: neither rule strikes a
+# truth node of its mode.
+CANDIDATE_RULES = {"and": "either", "or": "both"}
+
+
 def _truth_graphs(split: SplitDataset, truth_mode: str) -> tuple[tuple[Graph, Graph], ...]:
     """The truth rule: node w is ground truth for the seed edge (u, v) when,
     for one of these pairs (X, Y), w is an X-neighbour of u and a
@@ -231,19 +213,21 @@ def _truth_graphs(split: SplitDataset, truth_mode: str) -> tuple[tuple[Graph, Gr
     ``or`` is (test, train) and (train, test): one wedge edge held out and
     the other in train. Train and test edges are disjoint, so no node with
     both wedge edges held out is ``or`` truth."""
+    if truth_mode not in CANDIDATE_RULES:
+        raise ValueError("truth_mode must be 'and' or 'or'")
     test, train = split.test_graph, split.train
     return {"and": ((test, test),), "or": ((test, train), (train, test))}[truth_mode]
 
 
-def ground_truth(split: SplitDataset, seed_edge: tuple[int, int], policy: EvalPolicy) -> frozenset[int]:
+def ground_truth(split: SplitDataset, seed_edge: tuple[int, int], truth_mode: str) -> frozenset[int]:
     """Nodes (train indices) that complete a triangle with the seed edge
-    under the policy's truth mode (see :func:`_truth_graphs`). Neither graph
-    has a self-loop, so the seed endpoints are never truth. Raises
+    under ``truth_mode``, 'and' or 'or' (see :func:`_truth_graphs`). Neither
+    graph has a self-loop, so the seed endpoints are never truth. Raises
     IndexError for a seed node outside the train graph."""
     u, v = seed_edge
     return frozenset(
         w
-        for x, y in _truth_graphs(split, policy.truth_mode)
+        for x, y in _truth_graphs(split, truth_mode)
         for w in np.intersect1d(x.neighbors(u), y.neighbors(v), assume_unique=True).tolist()
     )
 
@@ -287,30 +271,6 @@ def _method_output(name: str, values, n: int) -> np.ndarray:
     if np.isnan(values).any():
         raise ValueError(f"method {name!r} returned NaN scores")
     return values
-
-
-def success_probability(
-    scores: np.ndarray, split: SplitDataset, seed_edge: tuple[int, int], policy: EvalPolicy
-) -> TrialReport:
-    """Top-k hit indicator for one scored seed edge. ``scores`` must hold one
-    score per train node, none of them NaN."""
-    scores = _method_output("scores", scores, split.train.n)
-    u, v = seed_edge
-    truth = ground_truth(split, seed_edge, policy)
-    if not truth:
-        raise ValueError("ground truth is empty; filter such trials before scoring")
-    cands = candidate_nodes(split.train, u, v, policy.rule)
-    best = _best_truth_rank(scores, cands, truth)
-    lab = split.train.labels
-    return TrialReport(
-        method="scores",
-        k=policy.k,
-        seed_u=lab[u],
-        seed_v=lab[v],
-        truth_count=len(truth),
-        best_rank=best,
-        sp=int(0 < best <= policy.k),
-    )
 
 
 def auc(scores: np.ndarray, positives: Iterable[int], candidates: np.ndarray) -> float:
@@ -627,14 +587,14 @@ class PairwiseResult:
     metadata: dict
 
 
-def _eligible_seed_edges(split: SplitDataset, policy: EvalPolicy) -> list[tuple[int, int]]:
+def _eligible_seed_edges(split: SplitDataset, truth_mode: str) -> list[tuple[int, int]]:
     """Train edges (in ``edge_array`` order) whose ground truth is nonempty,
     found for all edges at once: summed over the pairs (X, Y) of
     :func:`_truth_graphs`, (X.adjacency @ Y.adjacency)[u, v] counts the
     nodes that :func:`ground_truth` lists for (u, v)."""
     edges = split.train.edge_array()
     u, v = edges.T
-    count = sum((x.adjacency @ y.adjacency)[u, v] for x, y in _truth_graphs(split, policy.truth_mode))
+    count = sum((x.adjacency @ y.adjacency)[u, v] for x, y in _truth_graphs(split, truth_mode))
     return [(a, b) for a, b in edges[np.asarray(count).ravel() > 0].tolist()]
 
 
@@ -647,7 +607,6 @@ def run_pairwise_experiment(
     trials: int = 500,
     fraction: float | None = None,
     truth_mode: str = "and",
-    candidate_rule: str | None = None,
     params: DiffusionParams = DiffusionParams(),
     rng_seed: int = 0,
     allow_empty_truth: bool = False,
@@ -697,7 +656,8 @@ def run_pairwise_experiment(
     named = _resolve_methods(methods, PAIRWISE_METHODS)
     k_values = tuple(int(k) for k in k_values)
     _check_unique(k_values, "k value")
-    base_policy = EvalPolicy(k=min(k_values), truth_mode=truth_mode, candidate_rule=candidate_rule)
+    if min(k_values) < 1:
+        raise ValueError("k must be >= 1")
     root = np.random.SeedSequence(rng_seed)
     children = root.spawn(trials + 1)
 
@@ -714,7 +674,7 @@ def run_pairwise_experiment(
         if allow_empty_truth:
             eligible = [(int(u), int(v)) for u, v in split.train.edge_array()]
         else:
-            eligible = _eligible_seed_edges(split, base_policy)
+            eligible = _eligible_seed_edges(split, truth_mode)
         if not eligible:
             raise DataError("no eligible seed edges in the training graph")
         shared = TrialContext(split.train, params)
@@ -722,7 +682,7 @@ def run_pairwise_experiment(
         for i in range(trials):
             rng = np.random.default_rng(children[i + 1])
             u, v = eligible[rng.integers(len(eligible))]
-            drawn.append(replace(shared, u=u, v=v, truth=ground_truth(split, (u, v), base_policy)))
+            drawn.append(replace(shared, u=u, v=v, truth=ground_truth(split, (u, v), truth_mode)))
         # A trial with empty truth is never scored, so its seeds are not solved.
         _solve_declared(named, [ctx for ctx in drawn if ctx.truth])
 
@@ -745,7 +705,7 @@ def run_pairwise_experiment(
                 tu, tv = idx.get(g.labels[u]), idx.get(g.labels[v])
                 truth = None
                 if tu is not None and tv is not None:
-                    truth = ground_truth(lsplit, (tu, tv), base_policy)
+                    truth = ground_truth(lsplit, (tu, tv), truth_mode)
                 if not truth:
                     rejected += 1
                     continue
@@ -767,7 +727,7 @@ def run_pairwise_experiment(
         ctx, rejected = made
         discards += rejected
         u, v, truth = ctx.u, ctx.v, ctx.truth
-        cands = candidate_nodes(ctx.train, u, v, base_policy.rule)
+        cands = candidate_nodes(ctx.train, u, v, CANDIDATE_RULES[truth_mode])
         ctx = replace(ctx, candidates=cands)
         lab = ctx.train.labels
         for name, fn in named:
@@ -796,7 +756,7 @@ def run_pairwise_experiment(
         "k_values": list(k_values),
         "methods": [name for name, _ in named],
         "truth_mode": truth_mode,
-        "candidate_rule": base_policy.rule,
+        "candidate_rule": CANDIDATE_RULES[truth_mode],
         "alpha": params.alpha,
         "iterations": params.iterations,
         "rng_seed": rng_seed,
@@ -863,6 +823,8 @@ def run_standard_linkpred(
     candidates are listed only while it is scored. A function
     listed under several names (``single``, ``sum`` and ``star`` are one)
     is called, checked and ranked once per node, and reported under each.
+    A run in which no cohort node has both a held-out partner and a
+    negative scores nothing and raises DataError.
     """
     if num_nodes < 1:
         raise ValueError("num_nodes must be >= 1")
@@ -874,8 +836,7 @@ def run_standard_linkpred(
     split = split_holdout(g, test_fraction, root.spawn(1)[0])
     train = split.train
 
-    order = np.lexsort((np.arange(train.n), -train.degrees))
-    cohort = [int(i) for i in order[:num_nodes]]
+    cohort = top_k_indices(train.degrees, num_nodes).tolist()
     if len(cohort) < num_nodes:
         log.warning("cohort shrunk to %d nodes (graph too small)", len(cohort))
 
@@ -887,6 +848,8 @@ def run_standard_linkpred(
         positives = frozenset(split.test_graph.neighbors(i).tolist())
         if positives and len(positives) < train.n - 1 - train.degree(i):
             contexts.append(replace(basis, node=i, truth=positives))
+    if not contexts:
+        raise DataError(f"no cohort node has both held-out partners and negatives ({len(cohort)} skipped)")
     skipped = len(cohort) - len(contexts)
     _solve_declared(named, contexts)
     # single, sum and star are one function: score it once per node.
@@ -919,9 +882,9 @@ def run_standard_linkpred(
         summary.append(
             LinkpredSummaryRow(
                 method=name,
-                mean_auc=float(vals.mean()) if len(vals) else float("nan"),
-                mean_delta_vs_baseline=float(delta.mean()) if len(vals) else float("nan"),
-                mean_dist_to_diag=float((delta / math.sqrt(2.0)).mean()) if len(vals) else float("nan"),
+                mean_auc=float(vals.mean()),
+                mean_delta_vs_baseline=float(delta.mean()),
+                mean_dist_to_diag=float((delta / math.sqrt(2.0)).mean()),
             )
         )
 
@@ -972,15 +935,15 @@ def _write_reports(out_dir, prefix: str, tables: dict, metadata: dict) -> dict:
     return paths
 
 
-def write_pairwise_reports(result: PairwiseResult, out_dir, prefix: str = "pairwise") -> dict:
+def write_pairwise_reports(result: PairwiseResult, out_dir) -> dict:
     """Emit summary/detail CSVs plus a replayable metadata sidecar; returns
     the written paths."""
     tables = {"summary": (PairwiseSummaryRow, result.summary), "detail": (TrialReport, result.details)}
-    return _write_reports(out_dir, prefix, tables, result.metadata)
+    return _write_reports(out_dir, "pairwise", tables, result.metadata)
 
 
-def write_linkpred_reports(result: LinkpredResult, out_dir, prefix: str = "linkpred") -> dict:
+def write_linkpred_reports(result: LinkpredResult, out_dir) -> dict:
     """Emit per-node and summary CSVs plus a replayable metadata sidecar;
     returns the written paths."""
     tables = {"nodes": (LinkpredNodeRow, result.nodes), "summary": (LinkpredSummaryRow, result.summary)}
-    return _write_reports(out_dir, prefix, tables, result.metadata)
+    return _write_reports(out_dir, "linkpred", tables, result.metadata)

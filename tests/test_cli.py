@@ -294,12 +294,41 @@ def test_exit_codes(tmp_path, gpa_file):
     (["pairwise", "--trials", "3", "--k", ","], "no k value"),
     (["pairwise", "--trials", "3", "--protocol", "loeto", "--truth-mode", "or"], "'or' truth"),
     (["pairwise", "--trials", "3", "--protocol", "loeto", "--allow-empty-truth"], "empty truth"),
+    (["pairwise", "--trials", "3", "--k", "0,5"], "k must be >= 1"),
 ])
 def test_bad_cohort_methods_and_k_values_write_nothing(gpa_file, tmp_path, capsys, argv, offender):
     out = tmp_path / "out"
     assert main([*argv, "--input", str(gpa_file), "--out-dir", str(out)]) == 3
     assert not out.exists()
     assert offender in capsys.readouterr().err
+
+
+def test_linkpred_that_scores_no_node_is_a_data_error(tmp_path, capsys):
+    # On a 5-cycle one edge is held out, so the top-3 degree nodes are the
+    # inner nodes of the train path, none of which has a held-out partner.
+    path = tmp_path / "cycle.tsv"
+    path.write_text("0 1\n1 2\n2 3\n3 4\n4 0\n")
+    out = tmp_path / "out"
+    assert main(["linkpred", "--input", str(path), "--num-nodes", "3", "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    assert "no cohort node has both held-out partners and negatives (3 skipped)" in capsys.readouterr().err
+
+
+def test_candidate_rule_is_no_option(gpa_file, tmp_path, capsys):
+    # The truth mode fixes the candidate rule: no flag or config key sets it.
+    out = tmp_path / "flag"
+    assert main(["pairwise", "--input", str(gpa_file), "--trials", "3", "--candidate-rule", "either",
+                 "--out-dir", str(out)]) == 1
+    assert not out.exists()
+    assert "unrecognized arguments: --candidate-rule" in capsys.readouterr().err
+    cfg = tmp_path / "rule.json"
+    cfg.write_text(json.dumps({"candidate_rule": "both"}))
+    out = tmp_path / "config"
+    assert main(["pairwise", "--input", str(gpa_file), "--trials", "3", "--config", str(cfg),
+                 "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    assert "'candidate_rule' names no flag" in capsys.readouterr().err
+
 
 def test_config_file_defaults_and_override(gpa_file, tmp_path):
     cfg = tmp_path / "cfg.json"

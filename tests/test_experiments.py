@@ -8,7 +8,6 @@ from trilink import (
     DataError,
     DiffusionParams,
     EdgeList,
-    EvalPolicy,
     GpaParams,
     auc,
     build_graph,
@@ -28,10 +27,10 @@ from trilink import (
     split_holdout,
     split_loeto,
     split_temporal,
-    success_probability,
     trpr,
 )
 from trilink.experiments import (
+    CANDIDATE_RULES,
     LINKPRED_METHODS,
     PAIRWISE_METHODS,
     TrialContext,
@@ -52,15 +51,13 @@ def small_gpa(seed=2, steps=500, p=0.6):
 
 
 def test_policy_validation_and_rule():
-    with pytest.raises(ValueError):
-        EvalPolicy(k=0)
-    with pytest.raises(ValueError):
-        EvalPolicy(truth_mode="xor")
-    with pytest.raises(ValueError):
-        EvalPolicy(candidate_rule="some")
-    assert EvalPolicy(truth_mode="and").rule == "either"
-    assert EvalPolicy(truth_mode="or").rule == "both"
-    assert EvalPolicy(truth_mode="or", candidate_rule="either").rule == "either"
+    # The truth mode is the whole evaluation policy: ground_truth refuses an
+    # unknown mode, and the harness refuses a top-k cutoff below 1.
+    split = holdout_like_split([(1, 2), (2, 3), (3, 4)], [(1, 4), (2, 4)])
+    with pytest.raises(ValueError, match="truth_mode must be 'and' or 'or'"):
+        ground_truth(split, (0, 1), "xor")
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        run_pairwise_experiment(small_gpa(steps=100), "holdout", ["pairseed"], k_values=(0, 5), trials=3)
 
 
 # --- splits ------------------------------------------------------------------
@@ -161,9 +158,8 @@ def test_loeto_k4(k4):
     # smallest dense index wins
     assert set(split.train.labels) == {1, 2}
     # the wedge nodes fell out of the train component: trial is invalid
-    policy = EvalPolicy(k=5)
     tr_ix = split.train.label_index
-    assert ground_truth(split, (tr_ix[1], tr_ix[2]), policy) == frozenset()
+    assert ground_truth(split, (tr_ix[1], tr_ix[2]), "and") == frozenset()
 
 
 def test_loeto_triangle_discard(triangle_pendant):
@@ -310,36 +306,49 @@ def test_ground_truth_and_mode():
     # wait: (1,4) is in train; use a clean setup below instead
     split = holdout_like_split([(1, 2), (2, 3), (3, 4)], [(1, 4), (2, 4)])
     ix = split.train.label_index
-    got = ground_truth(split, (ix[1], ix[2]), EvalPolicy(truth_mode="and"))
+    got = ground_truth(split, (ix[1], ix[2]), "and")
     assert got == frozenset({ix[4]})
 
 
 def test_ground_truth_or_mode():
     split = holdout_like_split([(1, 2), (2, 4), (4, 3)], [(1, 4)])
     ix = split.train.label_index
-    assert ground_truth(split, (ix[1], ix[2]), EvalPolicy(truth_mode="or")) == frozenset({ix[4]})
-    assert ground_truth(split, (ix[1], ix[2]), EvalPolicy(truth_mode="and")) == frozenset()
+    assert ground_truth(split, (ix[1], ix[2]), "or") == frozenset({ix[4]})
+    assert ground_truth(split, (ix[1], ix[2]), "and") == frozenset()
 
 
 def test_ground_truth_or_requires_other_edge_in_train():
     split = holdout_like_split([(1, 2), (2, 3), (3, 4)], [(1, 4)])
     ix = split.train.label_index
     # (2,4) is neither in train nor test
-    assert ground_truth(split, (ix[1], ix[2]), EvalPolicy(truth_mode="or")) == frozenset()
+    assert ground_truth(split, (ix[1], ix[2]), "or") == frozenset()
 
 
 def test_eligible_seed_edges_equal_the_per_edge_ground_truth():
     # One sparse product lists the train edges with nonempty ground truth, in
     # edge_array order, since trials index into the list. The temporal split
     # holds out a self-loop record, which ground truth never counts.
+    for split in _eligibility_splits():
+        for mode in ("and", "or"):
+            want = [(u, v) for u, v in split.train.edge_array().tolist() if ground_truth(split, (u, v), mode)]
+            assert want and _eligible_seed_edges(split, mode) == want
+
+
+def _eligibility_splits() -> list:
     g = small_gpa(seed=4, steps=600)
     pairs = [(g.labels[u], g.labels[v]) for u, v in g.edge_array()] + [(g.labels[0], g.labels[0])]
     timed = EdgeList(tuple(pairs), tuple(np.random.default_rng(3).permutation(g.m).tolist()) + (g.m,))
-    for split in [split_holdout(g, 0.3, 1), split_holdout(g, 0.3, 2), split_temporal(timed, 0.7)]:
-        for mode in ("and", "or"):
-            policy = EvalPolicy(truth_mode=mode)
-            want = [(u, v) for u, v in split.train.edge_array().tolist() if ground_truth(split, (u, v), policy)]
-            assert want and _eligible_seed_edges(split, policy) == want
+    return [split_holdout(g, 0.3, 1), split_holdout(g, 0.3, 2), split_temporal(timed, 0.7)]
+
+
+def test_truth_nodes_are_candidates_under_the_modes_rule():
+    # The candidate rule follows from the truth mode because, for every
+    # eligible seed edge, it strikes none of that edge's truth nodes.
+    for split in _eligibility_splits():
+        for mode, rule in CANDIDATE_RULES.items():
+            for u, v in _eligible_seed_edges(split, mode):
+                truth = ground_truth(split, (u, v), mode)
+                assert truth <= set(candidate_nodes(split.train, u, v, rule).tolist()), (mode, u, v)
 
 
 def _truth_oracle_splits() -> list:
@@ -371,10 +380,9 @@ def test_ground_truth_and_eligible_seed_edges_match_the_set_algebra_oracle():
         edges = [tuple(e) for e in train.edge_array().tolist()]
         others = [tuple(rng.choice(train.n, 2, replace=False).tolist()) for _ in range(10)]
         for mode in ("and", "or"):
-            policy = EvalPolicy(truth_mode=mode)
             want = {e: oracles.truth_oracle(split, e, mode) for e in edges + others}
-            assert {e: ground_truth(split, e, policy) for e in want} == want
-            assert _eligible_seed_edges(split, policy) == [e for e in edges if want[e]]
+            assert {e: ground_truth(split, e, mode) for e in want} == want
+            assert _eligible_seed_edges(split, mode) == [e for e in edges if want[e]]
 
 
 @pytest.mark.parametrize("mode", ["and", "or"])
@@ -383,7 +391,7 @@ def test_ground_truth_rejects_out_of_range_seed_nodes(mode, seed_edge):
     split = holdout_like_split([(1, 2), (2, 3), (3, 4)], [(1, 4), (2, 4)])
     assert split.train.n == 4
     with pytest.raises(IndexError):
-        ground_truth(split, seed_edge, EvalPolicy(truth_mode=mode))
+        ground_truth(split, seed_edge, mode)
 
 
 def test_loeto_refuses_or_truth():
@@ -439,64 +447,45 @@ def test_scoring_functions_return_plain_arrays():
         "trprw": trpr(g, ts, pair, weighted=True),
         **{m: score_all_nodes(g, (u, v), m) for m in LOCAL_METHODS},
     }
-    policy = EvalPolicy(k=1)
-    truth = ground_truth(split, (u, v), policy)
-    cands = candidate_nodes(g, u, v, policy.rule)
+    truth = ground_truth(split, (u, v), "and")
+    cands = candidate_nodes(g, u, v, CANDIDATE_RULES["and"])
     assert truth == {g.label_index[5]} and len(cands) == 3
     for name, x in outs.items():
         assert type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (g.n,), name
-        rep = success_probability(x, split, (u, v), policy)
-        assert rep.method == "scores" and rep.best_rank >= 1, name
+        assert _best_truth_rank(x, cands, truth) >= 1, name
         assert 0.0 <= auc(x, truth, cands) <= 1.0, name
         rho, tau = rank_stability(x, outs["pagerank"])
         assert -1.0 <= rho <= 1.0 and -1.0 <= tau <= 1.0, name
 
 
+def _sp_at_1(values, split, seed_edge) -> tuple[int, int]:
+    # A harness trial's scoring step at k = 1 under 'and' truth: the hit
+    # indicator and the best truth rank.
+    truth = ground_truth(split, seed_edge, "and")
+    best = _best_truth_rank(values, candidate_nodes(split.train, *seed_edge, CANDIDATE_RULES["and"]), truth)
+    return int(0 < best <= 1), best
+
+
 def test_success_probability_examples():
     split = holdout_like_split([(1, 2), (2, 3), (3, 4), (4, 5)], [(1, 5), (2, 5)])
     ix = split.train.label_index
-    policy = EvalPolicy(k=1)
     vals = np.zeros(split.train.n)
     vals[ix[5]] = 1.0
-    rep = success_probability(vals, split, (ix[1], ix[2]), policy)
-    assert (rep.sp, rep.best_rank) == (1, 1)
+    assert _sp_at_1(vals, split, (ix[1], ix[2])) == (1, 1)
     # push the truth below the cutoff
     vals2 = np.zeros(split.train.n)
     vals2[ix[4]] = 1.0
-    rep2 = success_probability(vals2, split, (ix[1], ix[2]), policy)
-    assert rep2.sp == 0
-    assert rep2.best_rank > 1
+    sp, best = _sp_at_1(vals2, split, (ix[1], ix[2]))
+    assert sp == 0
+    assert best > 1
 
 
-def test_success_probability_empty_truth_errors():
-    split = holdout_like_split([(1, 2), (2, 3)], [])
-    ix = split.train.label_index
-    with pytest.raises(ValueError):
-        success_probability(np.zeros(3), split, (ix[1], ix[2]), EvalPolicy())
-
-
-def test_success_probability_checks_its_scores():
-    split = holdout_like_split([(1, 2), (2, 3), (3, 4), (4, 5)], [(1, 5), (2, 5)])
-    ix = split.train.label_index
-    seed_edge = (ix[1], ix[2])
-    with pytest.raises(ValueError, match=r"shape \(8,\), expected \(5,\)"):
-        success_probability(np.arange(split.train.n + 3.0), split, seed_edge, EvalPolicy())
-    vals = np.zeros(split.train.n)
-    vals[ix[5]] = np.nan  # the best (and only) truth node
-    with pytest.raises(ValueError, match="NaN scores"):
-        success_probability(vals, split, seed_edge, EvalPolicy())
-
-
-def test_success_probability_js_composition(triangle_pendant):
+def test_success_probability_js_composition():
     # hold out the wedge over the triangle edge; JS puts the pendant first
-    ix = triangle_pendant.label_index
-    split = split_loeto(triangle_pendant, (ix[1], ix[2]))
-    # that split drops node 3; rebuild a holdout-style case instead
     split = holdout_like_split([(1, 2), (1, 3), (2, 3), (3, 4)], [(1, 4), (2, 4)])
     tix = split.train.label_index
     sv = score_all_nodes(split.train, (tix[1], tix[2]), "js")
-    rep = success_probability(sv, split, (tix[1], tix[2]), EvalPolicy(k=1))
-    assert rep.best_rank == 1 and rep.sp == 1
+    assert _sp_at_1(sv, split, (tix[1], tix[2])) == (1, 1)
 
 
 def test_sp_matches_oracle_random():
@@ -1019,9 +1008,8 @@ def _declared_context_fields(registry: str, train, split) -> dict:
     # A holdout trial's seed edge (pairwise) or the top-degree cohort node
     # with held-out partners (linkpred).
     if registry == "pairwise":
-        policy = EvalPolicy()
-        u, v = _eligible_seed_edges(split, policy)[0]
-        return dict(u=u, v=v, truth=ground_truth(split, (u, v), policy), candidates=candidate_nodes(train, u, v))
+        u, v = _eligible_seed_edges(split, "and")[0]
+        return dict(u=u, v=v, truth=ground_truth(split, (u, v), "and"), candidates=candidate_nodes(train, u, v))
     node = next(int(i) for i in np.argsort(-train.degrees, kind="stable") if split.test_graph.degree(i))
     return dict(node=node, truth=frozenset(split.test_graph.neighbors(node).tolist()))
 
