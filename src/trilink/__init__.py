@@ -23,6 +23,7 @@ from .diffusion import (
     trpr_iterates,
 )
 from .experiments import (
+    CANDIDATE_RULES,
     DEFAULT_LINKPRED_METHODS,
     DEFAULT_PAIRWISE_METHODS,
     LinkpredResult,
@@ -65,6 +66,7 @@ from .triangles import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CANDIDATE_RULES",
     "DataError",
     "DiffusionParams",
     "DEFAULT_LINKPRED_METHODS",

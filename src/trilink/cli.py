@@ -36,7 +36,6 @@ from .experiments import (
 from .generators import GpaParams, generate_gpa
 from .graph import (
     DataError,
-    _read_edges,
     _token,
     build_graph,
     largest_connected_component,
@@ -178,7 +177,7 @@ def _build_parser() -> _Parser:
 
 
 def _load_graph(args):
-    return largest_connected_component(build_graph(_read_edges(args.input, args.timestamps)))
+    return largest_connected_component(build_graph(load_edge_list(args.input, args.timestamps)))
 
 
 def cmd_pairwise(args) -> int:
@@ -309,7 +308,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_triangles(args) -> int:
-    g = build_graph(_read_edges(args.input, args.timestamps))
+    g = build_graph(load_edge_list(args.input, args.timestamps))
     ts = enumerate_triangles(g)
     print(ts.count)
     if args.list:

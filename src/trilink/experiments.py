@@ -45,6 +45,7 @@ from .graph import (
     EdgeList,
     Graph,
     Label,
+    _check_labels,
     _from_index_pairs,
     build_graph,
     edge_subgraph,
@@ -107,29 +108,22 @@ class SplitDataset:
 # splits
 
 
-def _assemble(train: Graph, test_pairs, protocol, rng_seed=None, meta=None, min_nodes=3) -> SplitDataset:
-    train = largest_connected_component(train)
+def _split_rows(labels: Sequence[Label], train_rows: np.ndarray, test_rows: np.ndarray, protocol,
+                rng_seed=None, meta=None, min_nodes=3) -> SplitDataset:
+    """Split on (k, 2) rows of indices into ``labels``: the train graph is
+    the largest component of the distinct edges ``train_rows``, numbered as
+    by :func:`build_graph`; ``test_rows`` are the held-out pairs, in order."""
+    test_pairs = tuple((labels[u], labels[v]) for u, v in test_rows.tolist())
+    train = largest_connected_component(edge_subgraph(labels, train_rows))
     if train.n < min_nodes:
         raise DataError(f"train component too small ({train.n} nodes)")
     return SplitDataset(
         train=train,
-        test_pairs=tuple(test_pairs),
+        test_pairs=test_pairs,
         protocol=protocol,
         rng_seed=rng_seed,
         meta=meta or {},
     )
-
-
-def _split_by_mask(g: Graph, edges: np.ndarray, test_mask: np.ndarray, protocol, rng_seed=None,
-                   meta=None, min_nodes=3) -> SplitDataset:
-    """Split ``g`` by a boolean mask over ``edges = g.edge_array()`` (True:
-    held out). The train graph is built from the parent's dense edges
-    directly, indexed as :func:`build_graph` would index the same edges given
-    as label pairs."""
-    lab = g.labels
-    test_pairs = [(lab[u], lab[v]) for u, v in edges[test_mask].tolist()]
-    train = edge_subgraph(g, edges[~test_mask])
-    return _assemble(train, test_pairs, protocol, rng_seed, meta, min_nodes)
 
 
 def split_holdout(g: Graph, test_fraction: float, rng_seed) -> SplitDataset:
@@ -145,32 +139,39 @@ def split_holdout(g: Graph, test_fraction: float, rng_seed) -> SplitDataset:
     test_mask = np.zeros(m, dtype=bool)
     test_mask[perm[:t]] = True
     seed_int = rng_seed if isinstance(rng_seed, int) else None
-    return _split_by_mask(g, edges, test_mask, "holdout", seed_int, {"fraction": test_fraction})
+    return _split_rows(g.labels, edges[~test_mask], edges[test_mask], "holdout", seed_int,
+                       {"fraction": test_fraction})
 
 
 def split_temporal(edges: EdgeList, train_fraction: float) -> SplitDataset:
     """Time-ordered split: the earliest fraction of the unique edges trains.
 
-    Duplicate records collapse to their earliest timestamp; ordering ties
-    fall back to input position. Pure function of the input, no randomness.
+    A record's key is its two labels, the one whose ``repr`` sorts first
+    ahead. A key keeps its earliest (timestamp, input position), and the
+    keys are ordered so. A self-loop key counts in the cut but never
+    trains. Pure function of the input, no randomness.
     """
     if not edges.has_timestamps:
         raise DataError("temporal split requires timestamps")
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
-    first: dict[tuple[Label, Label], tuple[int, int]] = {}
-    for pos, ((u, v), t) in enumerate(zip(edges.pairs, edges.times)):
-        key = (u, v) if repr(u) <= repr(v) else (v, u)
-        if key not in first or (t, pos) < first[key]:
-            first[key] = (t, pos)
-    ordered = sorted(first.items(), key=lambda kv: kv[1])
-    cut = math.ceil(train_fraction * len(ordered))
-    if cut >= len(ordered):
+    e, labels, stamps = edges.index, edges.labels, edges.stamps
+    _check_labels(labels)
+    rank = np.empty(len(labels), dtype=np.int64)
+    rank[sorted(range(len(labels)), key=[repr(w) for w in labels].__getitem__)] = np.arange(len(labels))
+    rows = np.where((rank[e[:, 0]] > rank[e[:, 1]])[:, None], e[:, ::-1], e)
+    # Each key's earliest (time, position), then those in (time, position)
+    # order; lexsort is stable, so position breaks every tie.
+    keys = rows[:, 0] * len(labels) + rows[:, 1]
+    order = np.lexsort((stamps, keys))
+    first = order[np.diff(keys[order], prepend=-1) != 0]
+    first = first[np.lexsort((first, stamps[first]))]
+    cut = math.ceil(train_fraction * len(first))
+    if cut >= len(first):
         raise DataError("temporal split would leave no test edges")
-    train_pairs = [k for k, _ in ordered[:cut]]
-    test_pairs = [k for k, _ in ordered[cut:]]
-    train = build_graph(EdgeList(tuple(train_pairs)))
-    return _assemble(train, test_pairs, "temporal", None, {"fraction": train_fraction})
+    train_rows = rows[first[:cut]]
+    train_rows = train_rows[train_rows[:, 0] != train_rows[:, 1]]
+    return _split_rows(labels, train_rows, rows[first[cut:]], "temporal", None, {"fraction": train_fraction})
 
 
 def split_loeto(g: Graph, seed_edge: tuple[int, int]) -> SplitDataset:
@@ -189,8 +190,8 @@ def split_loeto(g: Graph, seed_edge: tuple[int, int]) -> SplitDataset:
     lab = g.labels
     # A 2-node train component is a legal (if useless) outcome here; the
     # harness discards such trials rather than erroring.
-    return _split_by_mask(
-        g, edges, test_mask, "loeto", None, {"seed_edge": (lab[u], lab[v])}, min_nodes=2
+    return _split_rows(
+        lab, edges[~test_mask], edges[test_mask], "loeto", None, {"seed_edge": (lab[u], lab[v])}, min_nodes=2
     )
 
 
@@ -232,10 +233,11 @@ def ground_truth(split: SplitDataset, seed_edge: tuple[int, int], truth_mode: st
     )
 
 
-def candidate_nodes(train: Graph, u: int, v: int, rule: str = "either") -> np.ndarray:
+def candidate_nodes(train: Graph, u: int, v: int, rule: str) -> np.ndarray:
     """Rankable nodes for a seed edge: everything except the endpoints and
-    the nodes the rule strikes (train-adjacent to either endpoint, or to
-    both)."""
+    the nodes the rule strikes (train-adjacent to ``"either"`` endpoint, or
+    to ``"both"``). ``CANDIDATE_RULES[truth_mode]`` is the rule that strikes
+    no truth node of that mode."""
     mask = np.ones(train.n, dtype=bool)
     if rule == "either":
         mask[train.neighbors(u)] = False

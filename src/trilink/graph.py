@@ -2,8 +2,8 @@
 
 Graphs are loaded from whitespace-delimited edge lists, cleaned (self loops
 and duplicate edges removed), and stored as CSR-style sorted neighbor arrays.
-The loader keeps each record as a pair of indices into the distinct labels,
-and the graph is built from that array with numpy.
+An edge list keeps each record as a pair of indices into the distinct
+labels, and the graph is built from that array with numpy.
 Original node identifiers survive as an index <-> label bijection so that
 experiment reports can name nodes the way the input file did.
 """
@@ -34,32 +34,74 @@ class ParseError(DataError):
     """A malformed line in an edge-list stream."""
 
 
-@dataclass(frozen=True)
 class EdgeList:
     """Raw edge records with original node labels, pre-deduplication.
 
-    ``times`` is None for static inputs; otherwise one integer timestamp per
-    pair. Self loops are dropped at parse time; duplicates are kept so that
-    temporal splitting can see every occurrence.
+    Row i of the (m, 2) int64 ``index`` holds record i's ends as indices
+    into ``labels``, the distinct labels in order of first appearance.
+    ``stamps`` is None for static inputs, else one int64 timestamp per
+    record; ``pairs`` and ``times`` are made as tuples when read. Self loops
+    are dropped at parse time; duplicates are kept so that temporal
+    splitting can see every occurrence. Labels that compare equal but differ
+    in kind (1, 1.0, True) stay apart, for :func:`build_graph` and
+    :func:`write_edge_list` to refuse; a numpy integer is the ``int`` it
+    equals. A time that would not read back as itself raises DataError.
     """
 
-    pairs: tuple[tuple[Label, Label], ...]
-    times: tuple[int, ...] | None = None
-    self_loops_dropped: int = 0
-
-    def __post_init__(self) -> None:
-        if self.times is not None and len(self.times) != len(self.pairs):
+    def __init__(self, pairs: Iterable[tuple[Label, Label]], times=None, self_loops_dropped: int = 0) -> None:
+        pairs = tuple(pairs)
+        if times is not None and len(times) != len(pairs):
             raise ValueError("times and pairs length mismatch")
+        if set(map(len, pairs)) - {2}:
+            raise ValueError("every edge record must be a pair of labels")
+        ends = tuple(chain.from_iterable(pairs))
+        keyed = not set(map(type, ends)) <= {int, str}
+        if keyed:
+            # A dict would merge True and 1.0 into 1, so key by kind too.
+            ends = tuple((int, int(w)) if isinstance(w, np.integer) else
+                         (str if isinstance(w, str) else type(w), w) for w in ends)
+        index = dict(zip(dict.fromkeys(ends), count()))
+        codes = np.fromiter(map(index.__getitem__, ends), dtype=np.int64, count=len(ends))
+        for t in () if times is None else times:
+            _check_time(t)
+        self.index = codes.reshape(-1, 2)
+        self.labels = tuple(w for _, w in index) if keyed else tuple(index)
+        self.stamps = None if times is None else np.array(times, dtype=np.int64)
+        self.self_loops_dropped = self_loops_dropped
+
+    @classmethod
+    def _of(cls, index: np.ndarray, labels: tuple[Label, ...], stamps=None, self_loops_dropped: int = 0) -> EdgeList:
+        """An edge list on arrays already laid out as the class keeps them."""
+        edges = cls.__new__(cls)
+        edges.index, edges.labels, edges.stamps, edges.self_loops_dropped = index, labels, stamps, self_loops_dropped
+        return edges
+
+    @property
+    def pairs(self) -> tuple[tuple[Label, Label], ...]:
+        ends = map(self.labels.__getitem__, self.index.ravel().tolist())
+        return tuple(zip(ends, ends))
+
+    @property
+    def times(self) -> tuple[int, ...] | None:
+        return None if self.stamps is None else tuple(self.stamps.tolist())
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.index)
 
     def __iter__(self) -> Iterator[tuple[Label, Label]]:
         return iter(self.pairs)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EdgeList):
+            return NotImplemented
+        return (self.pairs, self.times, self.self_loops_dropped) == (other.pairs, other.times, other.self_loops_dropped)
+
+    def __repr__(self) -> str:
+        return f"EdgeList({self.pairs!r}, {self.times!r}, {self.self_loops_dropped!r})"
+
     @property
     def has_timestamps(self) -> bool:
-        return self.times is not None
+        return self.stamps is not None
 
 
 def _token(tok: str) -> Label:
@@ -72,31 +114,22 @@ def _token(tok: str) -> Label:
     return value if str(value) == tok else tok
 
 
-@dataclass(frozen=True)
-class _IndexedEdges:
-    """What :func:`load_edge_list` reads, before it makes label pairs: each
-    record as a row of indices into ``labels``, the distinct labels in order
-    of first appearance over the records. :func:`build_graph` takes it as it
-    is."""
+def load_edge_list(source, has_timestamps: bool = False) -> EdgeList:
+    """Parse an edge-list stream into an :class:`EdgeList`.
 
-    index: np.ndarray  # shape (records, 2), int64
-    labels: list[Label]
-    times: list[int] | None = None
-    self_loops_dropped: int = 0
-
-
-def _read_edges(source, has_timestamps: bool) -> _IndexedEdges:
-    """The one line loop of the loader; see :func:`load_edge_list`. Each
-    distinct token is kept once, in a dict that gives its index, and read
-    by :func:`_token` once. Distinct tokens are distinct labels, so a record
-    is a self loop exactly when its two tokens are the same string."""
+    ``source`` may be a path or an open text/byte stream. Lines hold "u v"
+    (or "u v t" with ``has_timestamps``, t an int64); '#'/'%' lines and
+    blank lines are skipped. Self-loop records are dropped and counted;
+    duplicates are kept. Each distinct token is kept once, as a dict key
+    that gives its index; distinct tokens are distinct labels.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            return _read_edges(fh, has_timestamps)
+            return load_edge_list(fh, has_timestamps)
     want = 3 if has_timestamps else 2
     index: dict[str, int] = {}
     flat = array("q")
-    times: list[int] = []
+    times = array("q")
     loops = 0
     for lineno, raw in enumerate(source, start=1):
         if isinstance(raw, bytes):
@@ -114,6 +147,8 @@ def _read_edges(source, has_timestamps: bool) -> _IndexedEdges:
                 t = int(fields[2])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer timestamp {fields[2]!r}")
+            if not -(1 << 63) <= t < 1 << 63:
+                raise ParseError(f"line {lineno}: timestamp {fields[2]!r} is outside the int64 range")
         u, v = fields[0], fields[1]
         if u == v:
             loops += 1
@@ -124,26 +159,12 @@ def _read_edges(source, has_timestamps: bool) -> _IndexedEdges:
             times.append(t)
     if loops:
         log.debug("dropped %d self-loop record(s)", loops)
-    return _IndexedEdges(
+    return EdgeList._of(
         np.frombuffer(flat, dtype=np.int64).reshape(-1, 2),
-        list(map(_token, index)),
-        times if has_timestamps else None,
+        tuple(map(_token, index)),
+        np.frombuffer(times, dtype=np.int64) if has_timestamps else None,
         loops,
     )
-
-
-def load_edge_list(source, has_timestamps: bool = False) -> EdgeList:
-    """Parse an edge-list stream into an :class:`EdgeList`.
-
-    ``source`` may be a path or an open text/byte stream. Lines hold "u v"
-    (or "u v t" with ``has_timestamps``); '#'/'%' lines and blank lines are
-    skipped. Self-loop records are dropped and counted; duplicates are kept.
-    """
-    edges = _read_edges(source, has_timestamps)
-    ends = map(edges.labels.__getitem__, edges.index.ravel().tolist())
-    pairs = tuple(zip(ends, ends))
-    times = None if edges.times is None else tuple(edges.times)
-    return EdgeList(pairs, times, edges.self_loops_dropped)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,44 +239,16 @@ class Graph:
         return np.column_stack([src[mask], self.indices[mask]])
 
 
-def build_graph(edges: EdgeList | _IndexedEdges | Iterable[tuple[Label, Label]]) -> Graph:
-    """Build a simple undirected graph, assigning dense indices in
-    first-appearance order and collapsing duplicate/reversed records.
-
-    Labels are ints or strs. Labels that compare equal are one node, so a
-    numpy integer is stored as the ``int`` it equals; a bool or float label,
-    numpy ones too, raises :class:`DataError`, since it would merge with an
-    int (``True == 1 == 1.0``) yet be written apart."""
-    if not isinstance(edges, _IndexedEdges):
-        edges = _index_labels(edges.pairs if isinstance(edges, EdgeList) else tuple(edges))
-    return _index_graph(edges.index, edges.labels)
-
-
-def _index_labels(pairs: tuple[tuple[Label, Label], ...]) -> _IndexedEdges:
-    """Label pairs as rows of indices into their distinct labels."""
-    if not pairs:
-        raise DataError("cannot build a graph from an empty edge list")
-    if set(map(len, pairs)) != {2}:
-        raise ValueError("every edge record must be a pair of labels")
-    # By type over every label: a dict would merge True into 1 unseen.
-    kinds = set(map(type, chain.from_iterable(pairs)))
-    bad = tuple(k for k in kinds if issubclass(k, (bool, np.bool_, float, np.floating)))
-    if bad:
-        label = next(w for w in chain.from_iterable(pairs) if isinstance(w, bad))
-        raise DataError(f"label {label!r} is a {type(label).__name__}; node labels must be ints or strs")
-    index = dict(zip(dict.fromkeys(chain.from_iterable(pairs)), count()))
-    codes = np.fromiter(map(index.__getitem__, chain.from_iterable(pairs)), dtype=np.int64, count=2 * len(pairs))
-    labels: list[Label] = list(index)
-    if any(issubclass(k, np.integer) for k in kinds):
-        labels = [int(w) if isinstance(w, np.integer) else w for w in labels]
-    return _IndexedEdges(codes.reshape(-1, 2), labels)
-
-
-def _index_graph(e: np.ndarray, labels: Sequence[Label]) -> Graph:
-    """Graph from an (m, 2) int64 array of records given as indices into
-    ``labels``, which are numbered in order of first appearance over the
-    records: self loops dropped, nodes numbered in order of first appearance
-    over the kept records, repeated and reversed records merged."""
+def build_graph(edges: EdgeList | Iterable[tuple[Label, Label]]) -> Graph:
+    """Build a simple undirected graph from the records' index arrays: self
+    loops dropped, nodes numbered in order of first appearance over the kept
+    records, repeated and reversed records merged. Labels are ints or strs;
+    a bool or float label, numpy ones too, raises :class:`DataError`, since
+    it would merge with an int (``True == 1 == 1.0``) yet be written apart."""
+    if not isinstance(edges, EdgeList):
+        edges = EdgeList(edges)
+    _check_labels(edges.labels)
+    e, labels = edges.index, edges.labels
     if len(e) == 0:
         raise DataError("cannot build a graph from an empty edge list")
     kept = e[:, 0] != e[:, 1]
@@ -273,7 +266,14 @@ def _index_graph(e: np.ndarray, labels: Sequence[Label]) -> Graph:
     dups = len(e) - len(keys)
     if loops or dups:
         log.debug("build_graph removed %d self-loop(s), %d duplicate(s)", loops, dups)
-    return _from_index_pairs(np.column_stack([keys // n, keys % n]), tuple(labels))
+    return _from_index_pairs(np.column_stack([keys // n, keys % n]), labels)
+
+
+def _check_labels(labels: Sequence[Label]) -> None:
+    bad = tuple(k for k in set(map(type, labels)) if issubclass(k, (bool, np.bool_, float, np.floating)))
+    if bad:
+        label = next(w for w in labels if isinstance(w, bad))
+        raise DataError(f"label {label!r} is a {type(label).__name__}; node labels must be ints or strs")
 
 
 def _first_appearance(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,18 +286,18 @@ def _first_appearance(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank[inverse].reshape(e.shape), nodes[order]
 
 
-def edge_subgraph(g: Graph, edges: np.ndarray) -> Graph:
-    """Graph on the given (k, 2) rows of ``g.edge_array()``.
+def edge_subgraph(labels: Sequence[Label], edges: np.ndarray) -> Graph:
+    """Graph on the given (k, 2) rows of distinct undirected edges, given as
+    indices into ``labels``.
 
     Nodes are re-indexed in first-appearance order over the rows, as
     :func:`build_graph` would index the same edges given as label pairs;
     nodes on none of the rows are dropped.
     """
-    edges = np.asarray(edges, dtype=np.int64)
     if len(edges) == 0:
         raise DataError("cannot build a graph from an empty edge list")
     e, nodes = _first_appearance(edges)
-    return _from_index_pairs(e, tuple(map(g.labels.__getitem__, nodes.tolist())))
+    return _from_index_pairs(e, tuple(map(labels.__getitem__, nodes.tolist())))
 
 
 def _from_index_pairs(e: np.ndarray, labels: tuple[Label, ...]) -> Graph:
@@ -314,8 +314,8 @@ def _from_index_pairs(e: np.ndarray, labels: tuple[Label, ...]) -> Graph:
 
 def to_edge_list(g: Graph) -> EdgeList:
     """Edges of ``g`` as original-label pairs (canonical dense order)."""
-    arr = g.edge_array()
-    return EdgeList(tuple((g.labels[u], g.labels[v]) for u, v in arr))
+    e, nodes = _first_appearance(g.edge_array())
+    return EdgeList._of(e, tuple(map(g.labels.__getitem__, nodes.tolist())))
 
 
 def _check_writable(label: Label) -> None:
@@ -344,22 +344,18 @@ def _check_time(t) -> None:
 def write_edge_list(path, edges: EdgeList | Graph) -> None:
     """Write one "u v" (or "u v t") line per edge. Raises DataError, before
     opening ``path``, on a label that :func:`load_edge_list` would read back
-    as another node or not at all, or on a timestamp it would not read back
-    as the same integer."""
+    as another node or not at all. The timestamps were checked when the
+    :class:`EdgeList` was made."""
     if isinstance(edges, Graph):
         edges = to_edge_list(edges)
-    # By (type, value): 1.0 and True equal 1 in a set, but are written apart.
-    for _, label in {(type(w), w) for pair in edges.pairs for w in pair}:
+    for label in edges.labels:
         _check_writable(label)
-    for t in edges.times or ():
-        _check_time(t)
+    lab, rows = edges.labels, edges.index.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        if edges.times is None:
-            for u, v in edges.pairs:
-                fh.write(f"{u} {v}\n")
+        if edges.stamps is None:
+            fh.writelines(f"{lab[u]} {lab[v]}\n" for u, v in rows)
         else:
-            for (u, v), t in zip(edges.pairs, edges.times):
-                fh.write(f"{u} {v} {t}\n")
+            fh.writelines(f"{lab[u]} {lab[v]} {t}\n" for (u, v), t in zip(rows, edges.stamps.tolist()))
 
 
 def largest_connected_component(g: Graph) -> Graph:

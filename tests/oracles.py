@@ -271,6 +271,32 @@ def loeto_split(g: Graph, u: int, v: int) -> SplitDataset:
     return _label_pair_split(g, held_out, "loeto", None, {"seed_edge": (g.labels[u], g.labels[v])})
 
 
+def temporal_split(edges: EdgeList, train_fraction: float) -> SplitDataset:
+    """split_temporal as one loop over label pairs: each record keyed by its
+    labels, the one whose repr sorts first ahead, each key kept at its
+    earliest (time, position) and the keys sorted so; the train pairs are
+    rebuilt through build_graph."""
+    if not edges.has_timestamps:
+        raise DataError("temporal split requires timestamps")
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must be in (0, 1)")
+    first: dict = {}
+    for pos, ((u, v), t) in enumerate(zip(edges.pairs, edges.times)):
+        key = (u, v) if repr(u) <= repr(v) else (v, u)
+        if key not in first or (t, pos) < first[key]:
+            first[key] = (t, pos)
+    ordered = sorted(first.items(), key=lambda kv: kv[1])
+    cut = math.ceil(train_fraction * len(ordered))
+    if cut >= len(ordered):
+        raise DataError("temporal split would leave no test edges")
+    train_pairs = [k for k, _ in ordered[:cut]]
+    test_pairs = [k for k, _ in ordered[cut:]]
+    train = largest_connected_component(build_graph(EdgeList(tuple(train_pairs))))
+    if train.n < 3:
+        raise DataError(f"train component too small ({train.n} nodes)")
+    return SplitDataset(train, tuple(test_pairs), "temporal", None, {"fraction": train_fraction})
+
+
 def truth_oracle(split: SplitDataset, seed_edge: tuple[int, int], truth_mode: str) -> frozenset[int]:
     """Ground truth by set algebra on labels, read from ``split.test_pairs``:
     the train nodes w other than the seed endpoints whose wedge edges to the

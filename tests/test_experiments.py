@@ -428,6 +428,14 @@ def test_candidate_rules(couple):
         candidate_nodes(couple, u, v, "none-of-it")
 
 
+def test_candidate_rule_is_required(couple):
+    # No rule suits both truth modes: the 'and' rule strikes every 'or'
+    # truth node, so a caller names it, as CANDIDATE_RULES gives it.
+    ix = couple.label_index
+    with pytest.raises(TypeError):
+        candidate_nodes(couple, ix["b1"], ix["b2"])
+
+
 # --- success probability and auc ----------------------------------------------
 
 
@@ -1009,7 +1017,7 @@ def _declared_context_fields(registry: str, train, split) -> dict:
     # with held-out partners (linkpred).
     if registry == "pairwise":
         u, v = _eligible_seed_edges(split, "and")[0]
-        return dict(u=u, v=v, truth=ground_truth(split, (u, v), "and"), candidates=candidate_nodes(train, u, v))
+        return dict(u=u, v=v, truth=ground_truth(split, (u, v), "and"), candidates=candidate_nodes(train, u, v, "either"))
     node = next(int(i) for i in np.argsort(-train.degrees, kind="stable") if split.test_graph.degree(i))
     return dict(node=node, truth=frozenset(split.test_graph.neighbors(node).tolist()))
 

@@ -173,6 +173,38 @@ def test_cli_load_holds_no_record_tuples(tmp_path):
     assert peak < 12 * 8 * g.m
 
 
+def test_library_load_holds_no_record_tuples(tmp_path):
+    # load_edge_list keeps the records as index arrays, and build_graph
+    # builds from them, so the library path peaks as the CLI's does. G(1500,
+    # 0.08), the diagnose benchmark's graph, has 89,949 records; a Python
+    # tuple per record took its peak to 12.8 MiB.
+    import tracemalloc
+
+    rng = np.random.default_rng(41)
+    iu, ju = np.triu_indices(1500, k=1)
+    keep = rng.random(len(iu)) < 0.08
+    path = tmp_path / "gnp1500.tsv"
+    path.write_text("".join(f"{i} {j}\n" for i, j in zip(iu[keep].tolist(), ju[keep].tolist())))
+    tracemalloc.start()
+    try:
+        g = build_graph(load_edge_list(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(load_edge_list(path)), g.n) == (89_949, 1500)
+    assert peak < 9 * 2**20
+
+
+def test_load_refuses_timestamps_outside_int64():
+    # Timestamps are kept as int64, so one that does not fit is a parse error.
+    el = load_edge_list(io.StringIO(f"1 2 {2**63 - 1}\n2 3 {-2**63}\n"), has_timestamps=True)
+    assert el.times == (2**63 - 1, -2**63)
+    with pytest.raises(ParseError, match=re.escape(f"line 2: timestamp '{2**63}' is outside the int64 range")):
+        load_edge_list(io.StringIO(f"1 2 0\n2 3 {2**63}\n"), has_timestamps=True)
+    with pytest.raises(ParseError, match="line 1: timestamp"):
+        load_edge_list(io.StringIO(f"1 1 {-2**63 - 1}\n"), has_timestamps=True)
+
+
 def _label_edges(g):
     return {frozenset((g.labels[u], g.labels[v])) for u, v in g.edge_array()}
 

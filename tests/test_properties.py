@@ -1,5 +1,6 @@
 """Property tests for the identities the fast paths rely on: the tensor
-contraction, the mask-built splits, the loeto triangles taken from the
+contraction, the splits built from index rows (the temporal one against
+its reference loop), the loeto triangles taken from the
 parent's list, the O(n) rank count, pair-seed linearity, edge-list labels
 surviving a round trip through a graph, and the numpy rank statistics and
 largest component agreeing with scipy bit for bit.
@@ -28,6 +29,7 @@ from trilink import (
     single_seeded_pagerank,
     split_holdout,
     split_loeto,
+    split_temporal,
     tensor_bilinear,
     tensor_row_sums,
     to_edge_list,
@@ -35,7 +37,6 @@ from trilink import (
 )
 from trilink.diffusion import SEED_KINDS, _ranks, rank_stability
 from trilink.experiments import _best_truth_rank
-from trilink.graph import _read_edges
 from trilink.triangles import subgraph_triangles, triangle_edges
 
 import oracles
@@ -316,9 +317,9 @@ def _outcome(fn):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(edge_list_texts())
 def test_loading_matches_the_reference_loops(case):
-    # The CLI reads a file into index arrays and builds from them; the public
-    # path makes label pairs first. Both give the reference loops' graph, or
-    # their error text, and load_edge_list their records.
+    # load_edge_list reads a file into index arrays, and build_graph builds
+    # from them. The records and the graph are the reference loops', or the
+    # same error text.
     text, timed = case
     want_edges = _outcome(lambda: oracles.load_edge_list(io.StringIO(text), timed))
     assert _outcome(lambda: load_edge_list(io.StringIO(text), timed)) == want_edges
@@ -327,5 +328,43 @@ def test_loading_matches_the_reference_loops(case):
         want = _outcome(lambda: oracles.build_csr(want_edges.pairs))
     else:
         want = want_edges
-    assert _outcome(lambda: _csr(build_graph(_read_edges(io.StringIO(text), timed)))) == want
     assert _outcome(lambda: _csr(build_graph(load_edge_list(io.StringIO(text), timed)))) == want
+
+
+@st.composite
+def timed_edge_lists(draw):
+    """Timestamped records on int and str labels whose reprs sort apart
+    from their values ('10' before '2', "'1'" after '1'): repeated and
+    reversed records at other or equal times, ties in time, self loops."""
+    label = st.sampled_from([0, 1, 2, 10, -3, "1", "a", "b", "10"])
+    records: list[tuple] = []
+    for kind in draw(st.lists(st.sampled_from(["record"] * 5 + ["repeat", "reverse", "loop"]),
+                              min_size=8, max_size=40)):
+        if kind == "loop":
+            u = v = draw(label)
+        elif kind == "record" or not records:
+            u, v = draw(label), draw(label)
+        else:
+            u, v = draw(st.sampled_from(records))
+            if kind == "reverse":
+                u, v = v, u
+        records.append((u, v))
+    times = draw(st.lists(st.integers(-2, 6), min_size=len(records), max_size=len(records)))
+    return EdgeList(tuple(records), tuple(times))
+
+
+def _split_outcome(split, *args):
+    """The train CSR, labels and test pairs of ``split(*args)``, or the
+    class of the error it raises."""
+    try:
+        s = split(*args)
+    except (DataError, ValueError) as exc:
+        return type(exc)
+    return _csr(s.train), s.test_pairs
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(timed_edge_lists(), st.sampled_from([0.4, 0.6, 0.7, 0.8, 0.95]))
+def test_temporal_split_matches_the_reference_loop(edges, fraction):
+    got = _split_outcome(split_temporal, edges, fraction)
+    assert got == _split_outcome(oracles.temporal_split, edges, fraction)
