@@ -14,15 +14,12 @@ vectors it reads plus a step that combines those vectors; ``pairseed``, for
 one, is ½(x_u + x_v), which by linearity in the seed is the pair-seed
 solution, and it carries those nodes as ``fn.seeds``. Every context on one
 train graph shares a cache that lists the triangles once and solves each
-node's single-seed PageRank vector once. Both harnesses build their
-contexts on a train graph first, then solve in one batch the seeds that
-their methods carry, then score. linkpred's ``max`` and ``max-singles``
-also carry the neighbours whose vectors they read only through their
-elementwise max; those are solved block by block and folded into one
-running max per node, never kept. A loeto trial's train graph is a subgraph
-of the parent graph, so its triangles are taken from the parent's list
-(enumerated once per run) rather than enumerated again, and only when a
-method reads them.
+node's single-seed PageRank vector once. Both harnesses build the contexts
+of one train graph and score them through one loop, ``_score_contexts``,
+whose docstring states what it solves when and what it drops. A loeto
+trial's train graph is a subgraph of the parent graph, so its triangles are
+taken from the parent's list (enumerated once per run) rather than
+enumerated again, and only when a method reads them.
 """
 
 from __future__ import annotations
@@ -34,6 +31,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -307,17 +305,17 @@ def auc(scores: np.ndarray, positives: Iterable[int], candidates: np.ndarray) ->
 @dataclass(eq=False)
 class TrialContext:
     """Everything a method may look at when it scores one trial. Pairwise
-    trials fill the seed edge ``u``, ``v``; linkpred trials fill ``node``.
-    ``truth`` holds the ground-truth nodes (linkpred: the node's held-out
-    partners) and ``candidates`` the rankable nodes. All methods in a trial
-    receive the same context, and all contexts on one train graph share
-    ``cache``, so its triangles, single-seed vectors and maxima are computed
-    once. A vector asked for through :meth:`singles` stays cached as long as
-    ``cache`` lives, which is the whole run on one train graph; a vector
-    solved for :meth:`maxima` is dropped once it is folded in. When
-    ``cache`` holds ``"parent"``, a ``(TriangleSet, Graph)`` pair of a graph
-    that ``train`` is a subgraph of, the triangles are taken from the
-    parent's list instead of being enumerated."""
+    trials fill the seed edge ``u``, ``v``; linkpred trials fill ``node``,
+    and ``u`` = ``v`` = ``node``. ``truth`` holds the ground-truth nodes
+    (linkpred: the node's held-out partners) and ``candidates`` the rankable
+    nodes. All methods in a trial receive the same context, and all contexts
+    on one train graph share ``cache``, so its triangles, single-seed vectors
+    and maxima are computed once. How long a vector stays cached is stated
+    by ``_score_contexts``; a vector solved for :meth:`maxima` is dropped
+    once it is folded in. When ``cache`` holds ``"parent"``, a
+    ``(TriangleSet, Graph)`` pair of a graph that ``train`` is a subgraph
+    of, the triangles are taken from the parent's list instead of being
+    enumerated."""
 
     train: Graph
     params: DiffusionParams
@@ -343,14 +341,14 @@ class TrialContext:
     def singles(self, nodes: Iterable[int]) -> dict[int, np.ndarray]:
         """Single-seed PageRank vectors of ``nodes``, by node; those not
         cached yet are solved together in one :func:`pagerank_many` call,
-        whose columns are bit-equal to lone solves. They stay cached for as
-        long as ``cache`` lives."""
+        whose columns are bit-equal to lone solves. Each is cached as a copy
+        of its column, so dropping it frees its memory."""
         nodes = list(dict.fromkeys(nodes))
         missing = [i for i in nodes if i not in self.cache]
         if missing:
             sols = self._solve(missing)
             for col, i in enumerate(missing):
-                self.cache[i] = sols[:, col]
+                self.cache[i] = sols[:, col].copy()
         return {i: self.cache[i] for i in nodes}
 
     def maxima(self, groups: Iterable[Sequence[int]]) -> list[np.ndarray]:
@@ -420,8 +418,8 @@ def _pagerank_method(seeds: Seeds, combine: Callable[..., np.ndarray], maxed: Se
     ``seeds`` lists on a context, in that order, and last, when ``maxed`` is
     given, the elementwise max of the vectors of the nodes it lists (see
     :meth:`TrialContext.maxima`). Both are kept on the method, as
-    ``fn.seeds`` and ``fn.maxed``, so the harnesses can solve them for all
-    their contexts before scoring (see ``_solve_declared``)."""
+    ``fn.seeds`` and ``fn.maxed``, so the scoring loop can solve them before
+    they are read (see ``_score_contexts``)."""
 
     def fn(ctx: TrialContext) -> np.ndarray:
         vectors = list(ctx.singles(seeds(ctx)).values())
@@ -514,17 +512,53 @@ LINKPRED_METHODS: dict[str, Method] = {
 }
 
 
-def _solve_declared(named: list[tuple[str, Method]], contexts: Sequence[TrialContext]) -> None:
-    """Solve, on the contexts' shared cache, what the methods among
-    ``named`` declare they read on ``contexts``: first, in one batch and in
-    first-use order, the nodes their ``fn.seeds`` list, then the maxima
-    their ``fn.maxed`` groups name, streamed through blocks by
-    :meth:`TrialContext.maxima`, which reads the vectors the first step
-    cached. A method that declares neither is solved when it asks."""
-    if contexts:
-        fns = [fn for _, fn in named]
-        contexts[0].singles(i for ctx in contexts for fn in fns if hasattr(fn, "seeds") for i in fn.seeds(ctx))
-        contexts[0].maxima(fn.maxed(ctx) for ctx in contexts for fn in fns if hasattr(fn, "maxed"))
+def _score_contexts(named: list[tuple[str, Method]], contexts: Sequence[TrialContext], rule: str,
+                    metric: Callable[[np.ndarray, np.ndarray, frozenset[int]], float]):
+    """Score ``contexts``, which share one train graph and cache, in order.
+    Yield each context with its candidates, ``candidate_nodes(train, u, v,
+    rule)``, and ``metric(scores, candidates, truth)`` of each method, by
+    name. Each distinct function is called once per context and its output
+    checked. A context with empty truth has its candidates listed but is
+    not scored: it yields no values and declares nothing.
+
+    What the methods declare is solved before it is read, each distinct
+    vector once. Where a method declares ``fn.maxed``, the declared seeds
+    that some group lists are solved first, in one batch, and then the
+    maxima of every context, which fold those cached vectors in. The other
+    ``fn.seeds`` are solved in first-use order, one block of
+    :func:`_block_width` columns at a time, when a context first needs one.
+    A declared vector is dropped after the last context that declares it,
+    so the vectors held at once are those declared both at or before and at
+    or after the context being scored, plus at most one block. A method that
+    declares nothing is solved when it asks, and a vector that no method
+    declares stays cached as long as the cache lives.
+    """
+    fns: dict[Method, list[str]] = {}
+    for name, fn in named:
+        fns.setdefault(fn, []).append(name)
+    declared = [[i for fn in fns if hasattr(fn, "seeds") for i in fn.seeds(ctx)] if ctx.truth else []
+                for ctx in contexts]
+    last = {i: c for c, seeds in enumerate(declared) for i in seeds}  # keys in first-use order
+    groups = [fn.maxed(ctx) for ctx in contexts if ctx.truth for fn in fns if hasattr(fn, "maxed")]
+    if groups:
+        grouped = {j for group in groups for j in group}
+        contexts[0].singles(i for i in last if i in grouped)
+        contexts[0].maxima(groups)
+    unsolved = iter(last)
+    for c, ctx in enumerate(contexts):
+        ctx = replace(ctx, candidates=candidate_nodes(ctx.train, ctx.u, ctx.v, rule))
+        cache = ctx.cache
+        while any(i not in cache for i in declared[c]):
+            ctx.singles(islice((i for i in unsolved if i not in cache), _block_width(ctx.train.n)))
+        values = {}
+        if ctx.truth:
+            for fn, names in fns.items():
+                value = metric(_method_output(names[0], fn(ctx), ctx.train.n), ctx.candidates, ctx.truth)
+                values.update(dict.fromkeys(names, value))
+        for i in declared[c]:
+            if last[i] == c:
+                cache.pop(i, None)
+        yield ctx, values
 
 
 DEFAULT_PAIRWISE_METHODS = (
@@ -627,15 +661,13 @@ def run_pairwise_experiment(
     seed.
 
     Trials on one train graph (every holdout/temporal trial, or one loeto
-    trial) share a :class:`TrialContext` cache, so the triangles are listed
-    once and each endpoint's single-seed vector is solved once.
-    holdout/temporal draw every trial first, then solve the seeds that the
-    methods carry as ``fn.seeds`` for all scored trials in one batch; a
-    loeto trial solves its endpoints in one two-column batch. A method
-    without ``seeds`` is solved when it asks. ``pairseed``, ``ss``, ``max``
-    and ``mul`` all read those vectors; ``pairseed`` is ½(x_u + x_v), which
-    equals the pair-seed solution by linearity, so its scores do not depend
-    on the other methods. Each batch column is bit-equal to a lone solve.
+    trial) share a :class:`TrialContext` cache and are scored through
+    ``_score_contexts``, which states what is solved when and what is
+    dropped. holdout/temporal draw every trial first; loeto builds one
+    trial's split when the trial before it is scored and freed. Each
+    distinct function is called once per trial. ``pairseed`` is
+    ½(x_u + x_v), which equals the pair-seed solution by linearity, so its
+    scores do not depend on the other methods.
     loeto enumerates the parent graph's triangles once, to draw seed edges;
     each trial takes its train graph's triangles from that list
     (:func:`~trilink.triangles.subgraph_triangles`, array-equal to a fresh
@@ -672,6 +704,20 @@ def run_pairwise_experiment(
         if protocol == "holdout":
             split = split_holdout(g, 0.3 if fraction is None else fraction, children[0])
 
+    rule = CANDIDATE_RULES[truth_mode]
+    details: list[TrialReport] = []
+    digests: list[str] = []
+    failed = discards = 0
+
+    def score(contexts: list[TrialContext]) -> None:
+        for ctx, values in _score_contexts(named, contexts, rule, _best_truth_rank):
+            lab = ctx.train.labels
+            for name, _ in named:
+                best = values.get(name, -1)
+                details.extend(TrialReport(name, k, lab[ctx.u], lab[ctx.v], len(ctx.truth), best, int(0 < best <= k))
+                               for k in k_values)
+            digests.append(ctx.digest())
+
     if protocol in ("holdout", "temporal"):
         if allow_empty_truth:
             eligible = [(int(u), int(v)) for u, v in split.train.edge_array()]
@@ -685,61 +731,27 @@ def run_pairwise_experiment(
             rng = np.random.default_rng(children[i + 1])
             u, v = eligible[rng.integers(len(eligible))]
             drawn.append(replace(shared, u=u, v=v, truth=ground_truth(split, (u, v), truth_mode)))
-        # A trial with empty truth is never scored, so its seeds are not solved.
-        _solve_declared(named, [ctx for ctx in drawn if ctx.truth])
-
-        def make_trial(i: int):
-            return drawn[i], 0
-
+        score(drawn)
     else:  # loeto
         ts_full = enumerate_triangles(g)
         tri_edge_list = triangle_edges(ts_full)
         if not tri_edge_list:
             raise DataError("graph has no triangles; cannot run the triangles-out protocol")
-
-        def make_trial(i: int):
+        for i in range(trials):
             rng = np.random.default_rng(children[i + 1])
-            rejected = 0
             for _ in range(50):
                 u, v = tri_edge_list[rng.integers(len(tri_edge_list))]
                 lsplit = split_loeto(g, (u, v))
-                idx = lsplit.train.label_index
-                tu, tv = idx.get(g.labels[u]), idx.get(g.labels[v])
-                truth = None
-                if tu is not None and tv is not None:
-                    truth = ground_truth(lsplit, (tu, tv), truth_mode)
-                if not truth:
-                    rejected += 1
-                    continue
-                cache = {"parent": (ts_full, g)}
-                ctx = TrialContext(lsplit.train, params, cache=cache, u=tu, v=tv, truth=truth)
-                _solve_declared(named, [ctx])
-                return ctx, rejected
-            return None
-
-    details: list[TrialReport] = []
-    digests: list[str] = []
-    failed = discards = 0
-    for i in range(trials):
-        made = make_trial(i)
-        if made is None:
-            failed += 1
-            discards += 50
-            continue
-        ctx, rejected = made
-        discards += rejected
-        u, v, truth = ctx.u, ctx.v, ctx.truth
-        cands = candidate_nodes(ctx.train, u, v, CANDIDATE_RULES[truth_mode])
-        ctx = replace(ctx, candidates=cands)
-        lab = ctx.train.labels
-        for name, fn in named:
-            best = _best_truth_rank(_method_output(name, fn(ctx), ctx.train.n), cands, truth) if truth else -1
-            details.extend(
-                TrialReport(name, k, lab[u], lab[v], len(truth), best, int(0 < best <= k)) for k in k_values
-            )
-        digests.append(ctx.digest())
-        # Free this trial's train graph and cache before the next split.
-        del made, ctx
+                tu, tv = map(lsplit.train.label_index.get, (g.labels[u], g.labels[v]))
+                if tu is not None and tv is not None and (truth := ground_truth(lsplit, (tu, tv), truth_mode)):
+                    break
+                discards += 1
+                del lsplit  # before the next split is built
+            else:
+                failed += 1
+                continue
+            score([TrialContext(lsplit.train, params, cache={"parent": (ts_full, g)}, u=tu, v=tv, truth=truth)])
+            del lsplit  # free this trial's train graph before the next split
 
     completed = trials - failed
     summary = []
@@ -816,15 +828,12 @@ def run_standard_linkpred(
     partners as positives. The summary compares every method to the
     single-seed baseline, including the mean signed distance to the y = x
     diagonal of the method-vs-baseline AUC scatter. Cohort nodes are scored
-    in order. Before scoring, the vectors the methods declare are solved
-    for every scored node (see ``_solve_declared``): the single-seed vectors
-    of the scored nodes in one batch, then each distinct neighbour once, in
-    blocks that ``max`` and ``max-singles`` fold into one running max per
-    node and drop. So the vectors held at once are about 2 x cohort x n
-    floats plus one block, whatever the neighbourhood sizes; a node's
-    candidates are listed only while it is scored. A function
-    listed under several names (``single``, ``sum`` and ``star`` are one)
-    is called, checked and ranked once per node, and reported under each.
+    in order, through ``_score_contexts``, which states what is solved when
+    and what is dropped: a node's candidates are listed only while it is
+    scored, and the neighbours that ``max`` and ``max-singles`` read are
+    folded into one running max per node and never kept. A function listed
+    under several names (``single``, ``sum`` and ``star`` are one) is
+    called, checked and ranked once per node, and reported under each.
     A run in which no cohort node has both a held-out partner and a
     negative scores nothing and raises DataError.
     """
@@ -849,32 +858,19 @@ def run_standard_linkpred(
         # i is scored; here only their count is needed.
         positives = frozenset(split.test_graph.neighbors(i).tolist())
         if positives and len(positives) < train.n - 1 - train.degree(i):
-            contexts.append(replace(basis, node=i, truth=positives))
+            contexts.append(replace(basis, u=i, v=i, node=i, truth=positives))
     if not contexts:
         raise DataError(f"no cohort node has both held-out partners and negatives ({len(cohort)} skipped)")
     skipped = len(cohort) - len(contexts)
-    _solve_declared(named, contexts)
-    # single, sum and star are one function: score it once per node.
-    names_of: dict[Method, list[str]] = {}
-    for name, fn in named:
-        names_of.setdefault(fn, []).append(name)
     rows: list[LinkpredNodeRow] = []
     per_method: dict[str, list[float]] = {name: [] for name, _ in named}
     baseline_aucs: list[float] = []
-    for ctx in contexts:
+    for ctx, values in _score_contexts(named, contexts, "either", lambda x, cands, truth: auc(x, truth, cands)):
         i = ctx.node
-        mask = np.ones(train.n, dtype=bool)
-        mask[train.neighbors(i)] = False
-        mask[i] = False
-        ctx = replace(ctx, candidates=np.flatnonzero(mask))
-        res = {}
-        for fn, names in names_of.items():
-            a = auc(_method_output(names[0], fn(ctx), train.n), ctx.truth, ctx.candidates)
-            res.update(dict.fromkeys(names, a))
-        baseline_aucs.append(res[LINKPRED_BASELINE])
+        baseline_aucs.append(values[LINKPRED_BASELINE])
         for name, _ in named:
-            rows.append(LinkpredNodeRow(train.labels[i], train.degree(i), name, res[name]))
-            per_method[name].append(res[name])
+            rows.append(LinkpredNodeRow(train.labels[i], train.degree(i), name, values[name]))
+            per_method[name].append(values[name])
 
     base = np.asarray(baseline_aucs)
     summary = []

@@ -331,10 +331,11 @@ def _check_writable(label: Label) -> None:
 
 
 def _check_time(t) -> None:
-    # The loader reads a timestamp with int(), which must give back t itself:
-    # 1.5 would be written as "1.5" and True as "True", and neither loads.
+    # The loader reads a timestamp with int() into an int64, which must give
+    # back t itself: 1.5 would be written as "1.5" and True as "True", and
+    # neither loads; 2**63 loads as no int64.
     try:
-        same = int(str(t)) == t
+        same = int(str(t)) == t and -2**63 <= t < 2**63
     except ValueError:
         same = False
     if not same:

@@ -703,14 +703,16 @@ def test_linkpred_sum_equals_weighted_star_seed():
 
 
 def test_linkpred_solves_each_column_once(monkeypatch):
-    # The built-in methods declare what they read, so the harness solves the
-    # scored nodes' singles in one batch, then their neighbours in blocks:
-    # each node of the scored closed neighbourhoods once, none of the
-    # skipped nodes', and no lone pagerank solve. Only the scored nodes'
-    # vectors stay cached. max and max-singles equal their definitions on
-    # lone solves and the scores of a context solved when it asks; star and
-    # sum score with the node's single vector, and get the AUCs of lone
-    # solves of their own star and weighted-star seeds.
+    # The built-in methods declare what they read, so the harness solves, in
+    # one batch, the scored nodes' singles that some neighbourhood lists,
+    # then the neighbours in blocks, then the other scored nodes' singles in
+    # blocks: each node of the scored closed neighbourhoods once, none of the
+    # skipped nodes', and no lone pagerank solve. Each scored node's vector
+    # is dropped once the node is scored, so none stays cached. max and
+    # max-singles equal their definitions on lone solves and the scores of a
+    # context solved when it asks; star and sum score with the node's single
+    # vector, and get the AUCs of lone solves of their own star and
+    # weighted-star seeds.
     import trilink.diffusion as dif
     import trilink.experiments as ex
 
@@ -751,10 +753,11 @@ def test_linkpred_solves_each_column_once(monkeypatch):
     assert len(closed_singles(cohort)) > len(closed_singles(scored))
     assert len(columns) == len(set(columns)) == len(closed_singles(scored))
     assert set(columns) == closed_singles(scored)
-    assert solved[0] == scored and len(solved) > 2
+    grouped = {j for i in scored for j in train.neighbors(i).tolist()}
+    assert solved[0] == [i for i in scored if i in grouped] and len(solved) > 2
     assert all(len(block) <= dif._block_width(train.n) for block in solved[1:])
     cache = seen["single"][0][0].cache
-    assert {key for key in cache if isinstance(key, int)} == set(scored)
+    assert not any(isinstance(key, int) for key in cache)
 
     for name in ("max", "max-singles"):
         assert [ctx.node for ctx, _ in seen[name]] == scored
@@ -781,25 +784,35 @@ def test_linkpred_solves_each_column_once(monkeypatch):
 
 def test_linkpred_neighbourhood_max_holds_no_neighbour_vectors(monkeypatch):
     # max and max-singles read every neighbour's single vector of 100 cohort
-    # nodes, about 900 vectors here. The run holds two cohort x n arrays
-    # (the cohort's singles and one running max per node), one block solve
-    # (its output and three n x width arrays) and less than 1 MiB of graphs
-    # and bookkeeping, never the neighbours' vectors. The contexts hold no
-    # candidates when the vectors are solved: each node's are listed when it
-    # is scored.
+    # nodes, about 900 vectors here. The run holds at most two cohort x n
+    # arrays (the cohort's singles and one running max per node), one block
+    # solve (its output and three n x width arrays) and less than 1 MiB of
+    # graphs and bookkeeping, never the neighbours' vectors. A node's
+    # candidates are listed only while it is scored: right before its
+    # methods are called, and after every solve the maxima need.
     import tracemalloc
 
     import trilink.diffusion as dif
     import trilink.experiments as ex
 
-    held = []
-    solve = ex._solve_declared
+    events = []
+    listing, batch = ex.candidate_nodes, ex.pagerank_many
+    monkeypatch.setattr(ex, "candidate_nodes",
+                        lambda g, u, v, rule: events.append(("list", u)) or listing(g, u, v, rule))
+    monkeypatch.setattr(ex, "pagerank_many", lambda g, s, p: events.append(("solve", None)) or batch(g, s, p))
 
-    def recording(named, contexts):
-        held.append(sum(ctx.candidates.nbytes for ctx in contexts if ctx.candidates is not None))
-        return solve(named, contexts)
+    def recording(name):
+        fn = ex.LINKPRED_METHODS[name]
 
-    monkeypatch.setattr(ex, "_solve_declared", recording)
+        def rec(ctx):
+            events.append(("score", ctx.node))
+            return fn(ctx)
+
+        rec.__dict__.update(vars(fn))  # keep what fn declares
+        return rec
+
+    for name in ("max", "max-singles"):
+        monkeypatch.setitem(ex.LINKPRED_METHODS, name, recording(name))
     g = generate_gpa(GpaParams(p_edge=0.5, steps=3000, rng_seed=1))
     tracemalloc.start()
     try:
@@ -809,8 +822,16 @@ def test_linkpred_neighbourhood_max_holds_no_neighbour_vectors(monkeypatch):
         tracemalloc.stop()
     n, cohort = res.metadata["train_nodes"], res.metadata["cohort_size"]
     assert cohort == 100
-    assert held == [0]
     assert peak < 2 * 8 * cohort * n + 4 * 8 * n * dif._block_width(n) + 2**20
+    # The maxima are solved before any node's candidates are listed; the
+    # solves after that (blocks of the singles that no neighbourhood lists)
+    # are left out of the order checked last.
+    first = next(k for k, (kind, _) in enumerate(events) if kind == "list")
+    assert events[0][0] == "solve" and all(kind == "solve" for kind, _ in events[:first])
+    scored = [(kind, node) for kind, node in events[first:] if kind != "solve"]
+    nodes = [node for kind, node in scored if kind == "list"]
+    assert len(nodes) == len(set(nodes)) == cohort - res.metadata["nodes_skipped_no_positives"]
+    assert scored == [event for i in nodes for event in (("list", i), ("score", i), ("score", i))]
 
 
 def test_linkpred_rows_and_cohort_shrink():
@@ -930,6 +951,66 @@ def test_pairseed_bits_independent_of_how_singles_were_requested(monkeypatch):
         assert np.array_equal(a, b)
 
 
+def test_holdout_holds_the_live_vectors_plus_one_block():
+    # A declared vector is solved when the first trial that declares it is
+    # scored, in a block of _block_width(n) columns in first-use order, and
+    # dropped after the last trial that declares it. So while trial t is
+    # scored, the cache holds the vectors declared both at or before t and
+    # at or after t, plus at most one block solved ahead, not every vector
+    # of the run.
+    from trilink.diffusion import _block_width
+
+    seen = []
+
+    def probe(ctx):
+        seen.append((ctx.u, ctx.v, sum(isinstance(key, int) for key in ctx.cache)))
+        return np.zeros(ctx.train.n)
+
+    g = largest_connected_component(generate_gpa(GpaParams(p_edge=0.5, steps=20000, rng_seed=1)))
+    res = run_pairwise_experiment(g, "holdout", ["pairseed", ("probe", probe)], k_values=(5,), trials=200,
+                                  rng_seed=1)
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for t, (u, v, _) in enumerate(seen):
+        for x in (u, v):
+            first.setdefault(x, t)
+            last[x] = t
+    live = [sum(first[x] <= t <= last[x] for x in first) for t in range(len(seen))]
+    held = [h for _, _, h in seen]
+    width = _block_width(res.metadata["train_nodes"])
+    assert len(seen) == 200
+    assert all(h <= n_live + width for h, n_live in zip(held, live))
+    assert max(held) <= max(live) + width < len(first)
+
+
+def test_loeto_keeps_one_trial_alive(couple, monkeypatch):
+    # Each loeto trial has its own train graph, cache and vectors. When the
+    # next split is built, no earlier split's train graph is alive, whether
+    # it was scored or discarded (the couple graph's hub edge is): neither
+    # the harness nor the scoring loop holds a trial past its scoring.
+    import weakref
+
+    import trilink.experiments as ex
+
+    trains = []
+
+    def splitting(g, seed_edge):
+        assert all(ref() is None for ref in trains)
+        split = split_loeto(g, seed_edge)
+        trains.append(weakref.ref(split.train))
+        return split
+
+    monkeypatch.setattr(ex, "split_loeto", splitting)
+    discards = []
+    for g in (small_gpa(steps=400), couple):
+        trains.clear()
+        res = run_pairwise_experiment(g, "loeto", [*DEFAULT_PAIRWISE_METHODS, "oracle"], trials=15, rng_seed=6)
+        assert res.metadata["trials_completed"] == 15
+        assert len(trains) == 15 + res.metadata["discards"]
+        discards.append(res.metadata["discards"])
+    assert discards[-1] > 0
+
+
 def _count_batches(monkeypatch) -> list[int]:
     # The column count of each pagerank_many call the harnesses make.
     import trilink.experiments as ex
@@ -1019,28 +1100,23 @@ def _declared_context_fields(registry: str, train, split) -> dict:
         u, v = _eligible_seed_edges(split, "and")[0]
         return dict(u=u, v=v, truth=ground_truth(split, (u, v), "and"), candidates=candidate_nodes(train, u, v, "either"))
     node = next(int(i) for i in np.argsort(-train.degrees, kind="stable") if split.test_graph.degree(i))
-    return dict(node=node, truth=frozenset(split.test_graph.neighbors(node).tolist()))
+    return dict(u=node, v=node, node=node, truth=frozenset(split.test_graph.neighbors(node).tolist()))
 
 
 @pytest.mark.parametrize("registry, name", DECLARED)
 def test_declared_seeds_are_the_seeds_read(registry, name, monkeypatch):
-    # After the planned solves, scoring a built-in solves nothing more and
-    # reads exactly the seeds and the maxima it declares, and the cache
-    # holds nothing else: a max keeps none of the vectors folded into it.
-    # Its scores equal those of an unplanned context, solved when it asks.
+    # When the scoring loop calls a built-in, what it declares is solved and
+    # the cache holds nothing else: a max keeps none of the vectors folded
+    # into it. The call solves nothing more and reads exactly the seeds and
+    # the maxima it declares. Once the context is scored, its declared
+    # vectors are dropped. Its scores equal those of an unplanned context,
+    # solved when it asks.
     import trilink.experiments as ex
 
     split = split_holdout(small_gpa(steps=400), 0.3, 5)
     train = split.train
     fn = TABLES[registry][name]
     kw = _declared_context_fields(registry, train, split)
-    ctx = TrialContext(train, DiffusionParams(), **kw)
-    ex._solve_declared([(name, fn)], [ctx])
-    declared = fn.seeds(ctx)
-    groups = [fn.maxed(ctx)] if hasattr(fn, "maxed") else []
-    assert set(ctx.cache) == {*declared, *(("max", *group) for group in groups)}
-    assert (registry == "linkpred" and name in ("max", "max-singles")) == bool(groups)
-
     batches = _count_batches(monkeypatch)
     read, read_groups = [], []
     singles, maxima = TrialContext.singles, TrialContext.maxima
@@ -1055,14 +1131,32 @@ def test_declared_seeds_are_the_seeds_read(registry, name, monkeypatch):
         read_groups.extend(groups)
         return maxima(self, groups)
 
+    calls = []
+
+    def probe(ctx):
+        before = len(batches), set(ctx.cache)
+        read.clear()
+        read_groups.clear()
+        vals = fn(ctx)
+        calls.append((before, len(batches), list(read), list(read_groups), fn.seeds(ctx),
+                       [fn.maxed(ctx)] if hasattr(fn, "maxed") else []))
+        return vals
+
+    probe.__dict__.update(vars(fn))  # keep what fn declares
     monkeypatch.setattr(TrialContext, "singles", recording)
     monkeypatch.setattr(TrialContext, "maxima", recording_maxima)
-    planned = fn(ctx)
-    assert batches == [] and read == declared and read_groups == groups
+    ctx = TrialContext(train, DiffusionParams(), **kw)
+    [(scored, values)] = ex._score_contexts([(name, probe)], [ctx], "either", lambda x, cands, truth: x)
     monkeypatch.undo()
 
+    [((solved, cached), after, read, read_groups, declared, groups)] = calls
+    assert cached == {*declared, *(("max", *group) for group in groups)}
+    assert (registry == "linkpred" and name in ("max", "max-singles")) == bool(groups)
+    assert after == solved and read == declared and read_groups == groups
+    assert set(scored.cache) == {("max", *group) for group in groups}
+
     lazy = fn(TrialContext(train, DiffusionParams(), **kw))
-    assert np.array_equal(planned, lazy)
+    assert np.array_equal(values[name], lazy)
 
 
 def test_triangles_enumerated_once_per_train_graph(monkeypatch):

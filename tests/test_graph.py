@@ -240,14 +240,15 @@ def test_write_refuses_labels_that_would_not_read_back(tmp_path, edges, bad):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("bad", [1.5, 2.0, True, "7", np.float64(3.0)], ids=repr)
+# Stamps are int64, so 2**63 and -2**63 - 1 would not load either.
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "7", np.float64(3.0), 2**63, -2**63 - 1], ids=repr)
 def test_write_refuses_timestamps_that_would_not_read_back(tmp_path, bad):
     path = tmp_path / "edges.tsv"
     with pytest.raises(DataError, match=re.escape(f"timestamp {bad!r}")):
         write_edge_list(path, EdgeList(((1, 2), (2, 3)), (bad, 2)))
     assert not path.exists()
-    write_edge_list(path, EdgeList(((1, 2), (2, 3)), (np.int64(-4), 2)))
-    assert load_edge_list(path, has_timestamps=True).times == (-4, 2)
+    write_edge_list(path, EdgeList(((1, 2), (2, 3)), (np.int64(-4), 2**63 - 1)))
+    assert load_edge_list(path, has_timestamps=True).times == (-4, 2**63 - 1)
 
 
 def test_write_read_round_trip_keeps_every_label(tmp_path):
