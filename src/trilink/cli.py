@@ -36,6 +36,7 @@ from .experiments import (
 from .generators import GpaParams, generate_gpa
 from .graph import (
     DataError,
+    _sorted_unique,
     _token,
     build_graph,
     largest_connected_component,
@@ -272,14 +273,14 @@ def cmd_diagnose(args) -> int:
     rows = [f"iter,l1_delta,spearman_full,kendall_full,spearman_top{args.top_k},kendall_top{args.top_k}\n"]
     for i, x_next, _, delta in trpr_iterates(g, ts, seed, params, args.weighted, iterations=args.max_iters):
         top_next = top_k_indices(x_next, args.top_k)
-        keep = np.union1d(top, top_next)
+        keep = _sorted_unique(np.concatenate([top, top_next]))
         rho_f, tau_f = rank_stability(x, x_next)
         rho_t, tau_t = rank_stability(x[keep], x_next[keep])
         rows.append(f"{i},{delta!r},{rho_f!r},{tau_f!r},{rho_t!r},{tau_t!r}\n")
         x, top = x_next, top_next
         if i == ref:
             x_ref, top_ref = x, top
-    keep = np.union1d(top_ref, top)
+    keep = _sorted_unique(np.concatenate([top_ref, top]))
     rho_f, tau_f = rank_stability(x_ref, x)
     rho_t, tau_t = rank_stability(x_ref[keep], x[keep])
     gap = float(np.abs(x - x_ref).sum())

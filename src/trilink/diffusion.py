@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph
+from .graph import Graph, _sorted_unique
 from .triangles import TriangleSet, reinforced_matrix_apply, tensor_row_sums
 
 log = logging.getLogger("trilink")
@@ -388,7 +388,7 @@ def rank_stability(x_prev: np.ndarray, x_next: np.ndarray, top_k: int | None = N
     if va.shape != vb.shape:
         raise ValueError("score vectors differ in length")
     if top_k is not None:
-        keep = np.union1d(top_k_indices(va, top_k), top_k_indices(vb, top_k))
+        keep = _sorted_unique(np.concatenate([top_k_indices(va, top_k), top_k_indices(vb, top_k)]))
         va, vb = va[keep], vb[keep]
     if len(va) < 2:
         raise ValueError("need at least 2 items to correlate")

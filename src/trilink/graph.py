@@ -269,6 +269,13 @@ def build_graph(edges: EdgeList | Iterable[tuple[Label, Label]]) -> Graph:
     return _from_index_pairs(np.column_stack([keys // n, keys % n]), labels)
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` of a 1-D ``a`` by a sort and a pass that drops
+    repeats, as in :func:`build_graph`: many times faster on numpy 2."""
+    a = np.sort(a)
+    return a[np.append(a[:1] == a[:1], a[1:] != a[:-1])]  # a[:1] keeps an empty a empty
+
+
 def _check_labels(labels: Sequence[Label]) -> None:
     bad = tuple(k for k in set(map(type, labels)) if issubclass(k, (bool, np.bool_, float, np.floating)))
     if bad:

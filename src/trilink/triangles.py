@@ -6,19 +6,17 @@ edge keys. The (symmetric, 0/1) triangle indicator tensor is never
 materialized: every product is an accumulation over the canonical triangle
 list, so all costs are linear in the number of triangles.
 
-The products walk the list in blocks of ``_BLOCK`` triangles. Each
-``TriangleSet`` caches, on first use, per block: the block's corner columns
-joined as a|b|c (``idx``, the gather index), and its scatter, a CSR matrix
-S of shape (n, 3B) whose row i lists, in ascending order, the positions p
-with ``idx[p] == i``. A product does one gather per input vector per block,
-forms the corner weights w in place, and adds ``S @ w``. scipy's CSR
+The products walk the list in blocks of ``_BLOCK`` triangles. ``triples``
+is column-major, so a block's corner columns a, b and c are contiguous
+slices. A product gathers each input vector straight from them, forms the
+corner weights w, laid out a|b|c, in place and adds ``S @ w``, where S, the
+block's scatter, is all that a ``TriangleSet`` caches. scipy's CSR
 product starts each row at 0.0 and adds ``1.0 * w[p]`` (exact, fused or
-not) in stored order, so every node gets the additions a
-``bincount(idx, weights=w)`` makes, in the same order, and the same bits;
-but each row sums in a register instead of through memory. The cache holds
-3T int64 (``idx``), 3T int32 (S's indices), an (n + 1) int32 row pointer
-per block and one shared read-only buffer of 3B ones: 6.9 + 3.4 MB at
-T = 287k. The output bits depend on ``_BLOCK`` and on the a|b|c join order,
+not) in stored order, so every node gets the additions a weighted
+``bincount`` of a|b|c makes, in the same order, and the same bits; but each
+row sums in a register instead of through memory. The cache holds 3T int32,
+an (n + 1) int32 row pointer per block and 3B shared ones: 3.4 MB at
+T = 287k. The output bits depend on ``_BLOCK`` and on the a|b|c order,
 which fix the order of the floating-point sums: changing either changes the
 bytes of every result written from them.
 """
@@ -31,7 +29,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph
+from .graph import Graph, _sorted_unique
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,9 +37,10 @@ class TriangleSet:
     """Canonical triangle list of a graph: rows (i, j, k) with i < j < k."""
 
     n: int
-    triples: np.ndarray  # shape (count, 3), int64
+    triples: np.ndarray  # shape (count, 3), int64, column-major
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "triples", np.asfortranarray(self.triples))
         self.triples.setflags(write=False)
 
     @property
@@ -49,32 +48,26 @@ class TriangleSet:
         return len(self.triples)
 
     @cached_property
-    def _corner_index(self) -> tuple[tuple[np.ndarray, sp.csr_array], ...]:
-        """Per block of ``_BLOCK`` triangles, ``(idx, S)``: the corner
-        columns joined as a|b|c, the gather index of the corner values, and
-        the scatter S, which sums the corner weights by node. Row i of S
-        lists, ascending, the positions p with ``idx[p] == i``, so ``S @ w``
-        adds each node's weights in ``bincount``'s order and gives its bits.
-        Every block's S takes its 1.0 entries from one shared read-only
-        buffer and has int32 indices: 3T int64 plus 3T int32 in all, plus
-        an (n + 1) int32 row pointer per block and the buffer of ones."""
+    def _corner_index(self) -> tuple[sp.csr_array, ...]:
+        """Per block of ``_BLOCK`` triangles, the scatter S that sums the
+        corner weights by node: row i lists, ascending, the positions p of
+        the corners equal to i in the block's corners joined a|b|c, so
+        ``S @ w`` adds them in ``bincount``'s order. Every S has int32
+        indices and shares one read-only buffer of ones."""
         ones = np.ones(3 * min(self.count, _BLOCK))
         ones.setflags(write=False)
         blocks = []
         for lo in range(0, self.count, _BLOCK):
-            idx = np.ascontiguousarray(self.triples[lo : lo + _BLOCK].T).ravel()
-            idx.setflags(write=False)
+            idx = np.concatenate(self.triples[lo : lo + _BLOCK].T, dtype=np.int32)
             # Column p of this CSC matrix holds one entry, at row idx[p]; the
             # conversion lists each row's columns in ascending order.
             colptr = np.arange(len(idx) + 1, dtype=np.int32)
-            scatter = sp.csc_array(
-                (ones[: len(idx)], idx.astype(np.int32), colptr), shape=(self.n, len(idx))
-            ).tocsr()
+            scatter = sp.csc_array((ones[: len(idx)], idx, colptr), shape=(self.n, len(idx))).tocsr()
             # The conversion writes its own array of ones; share the buffer.
             scatter.data = ones[: len(idx)]
             scatter.indices.setflags(write=False)
             scatter.indptr.setflags(write=False)
-            blocks.append((idx, scatter))
+            blocks.append(scatter)
         return tuple(blocks)
 
 
@@ -110,8 +103,8 @@ def enumerate_triangles(g: Graph) -> TriangleSet:
     row_end = np.cumsum(np.bincount(tails, minlength=n))
     ends = np.cumsum(row_end[tails] - np.arange(1, len(tails) + 1))
     starts = np.append(0, ends[:-1])
-    # Each chunk's closed wedges, as (hits, 3) rows; joined once at the end.
-    found = [np.empty((0, 3), dtype=np.int64)]
+    # Each chunk's closed wedges as a (3, hits) stack, joined once at the end.
+    found = [np.empty((3, 0), dtype=np.int64)]
     total = int(ends[-1]) if len(ends) else 0
     for lo in range(0, total, _BLOCK):
         hi = min(lo + _BLOCK, total)
@@ -122,8 +115,8 @@ def enumerate_triangles(g: Graph) -> TriangleSet:
         want = heads[e] * n + k
         closed = keys[np.searchsorted(keys, want)] == want
         e = e[closed]
-        found.append(np.column_stack([tails[e], heads[e], k[closed]]))
-    return TriangleSet(n=n, triples=np.concatenate(found))
+        found.append(np.stack([tails[e], heads[e], k[closed]]))
+    return TriangleSet(n=n, triples=np.concatenate(found, axis=1).T)
 
 
 def subgraph_triangles(ts: TriangleSet, g: Graph, sub: Graph) -> TriangleSet:
@@ -157,7 +150,7 @@ def subgraph_triangles(ts: TriangleSet, g: Graph, sub: Graph) -> TriangleSet:
     hi = np.maximum(np.maximum(a, b), c)
     mid = a + b + c - lo - hi
     order = np.lexsort((hi, lo * n + mid))
-    return TriangleSet(n=n, triples=np.column_stack([lo[order], mid[order], hi[order]]))
+    return TriangleSet(n=n, triples=np.stack([lo[order], mid[order], hi[order]]).T)
 
 
 def _check_len(ts: TriangleSet, vec: np.ndarray, name: str) -> np.ndarray:
@@ -167,10 +160,10 @@ def _check_len(ts: TriangleSet, vec: np.ndarray, name: str) -> np.ndarray:
     return vec
 
 
-def _thirds(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The a, b and c parts of a vector laid out like a corner index block."""
-    size = len(v) // 3
-    return v[:size], v[size : 2 * size], v[2 * size :]
+def _blocks(ts: TriangleSet):
+    """Per block, its corner columns a, b, c (views of ``triples``) and S."""
+    for lo, scatter in zip(range(0, ts.count, _BLOCK), ts._corner_index):
+        yield ts.triples[lo : lo + _BLOCK].T, scatter
 
 
 def _cross_into(out: np.ndarray, tmp: np.ndarray, p, q, r, s) -> None:
@@ -190,16 +183,15 @@ def tensor_bilinear(ts: TriangleSet, x: np.ndarray, y: np.ndarray) -> np.ndarray
     x = _check_len(ts, x, "x")
     y = _check_len(ts, y, "y")
     z = np.zeros(ts.n)
-    for idx, scatter in ts._corner_index:
-        xa, xb, xc = _thirds(x[idx])
-        ya, yb, yc = _thirds(y[idx])
-        w = np.empty(len(idx))
-        wa, wb, wc = _thirds(w)
-        tmp = np.empty(len(wa))
-        _cross_into(wa, tmp, yb, xc, yc, xb)
-        _cross_into(wb, tmp, ya, xc, yc, xa)
-        _cross_into(wc, tmp, ya, xb, yb, xa)
-        z += scatter @ w
+    for (a, b, c), scatter in _blocks(ts):
+        xa, xb, xc = x[a], x[b], x[c]
+        ya, yb, yc = y[a], y[b], y[c]
+        w = np.empty((3, len(a)))  # its rows joined are the a|b|c weights
+        tmp = np.empty(len(a))
+        _cross_into(w[0], tmp, yb, xc, yc, xb)
+        _cross_into(w[1], tmp, ya, xc, yc, xa)
+        _cross_into(w[2], tmp, ya, xb, yb, xa)
+        z += scatter @ w.ravel()
     return z
 
 
@@ -211,14 +203,13 @@ def tensor_row_sums(ts: TriangleSet, x: np.ndarray) -> np.ndarray:
     """
     x = _check_len(ts, x, "x")
     z = np.zeros(ts.n)
-    for idx, scatter in ts._corner_index:
-        xa, xb, xc = _thirds(x[idx])
-        w = np.empty(len(idx))
-        wa, wb, wc = _thirds(w)
-        np.add(xb, xc, out=wa)
-        np.add(xa, xc, out=wb)
-        np.add(xa, xb, out=wc)
-        z += scatter @ w
+    for (a, b, c), scatter in _blocks(ts):
+        xa, xb, xc = x[a], x[b], x[c]
+        w = np.empty((3, len(a)))
+        np.add(xb, xc, out=w[0])
+        np.add(xa, xc, out=w[1])
+        np.add(xa, xb, out=w[2])
+        z += scatter @ w.ravel()
     return z
 
 
@@ -234,8 +225,8 @@ def reinforced_matrix_apply(
 
 def triangle_edges(ts: TriangleSet) -> list[tuple[int, int]]:
     """The edges (u < v) in at least one triangle, in (u, v) order: the
-    unique keys u * n + v come sorted."""
+    distinct keys u * n + v, sorted."""
     a, b, c = ts.triples.T
     n = ts.n
-    keys = np.unique(np.concatenate([a * n + b, a * n + c, b * n + c]))
+    keys = _sorted_unique(np.concatenate([a * n + b, a * n + c, b * n + c]))
     return list(zip((keys // n).tolist(), (keys % n).tolist()))

@@ -227,7 +227,7 @@ def assert_loeto_triangles_from_parent(g, ts, u, v):
     want = enumerate_triangles(split.train)
     assert got.n == want.n == split.train.n
     assert got.triples.dtype == np.int64
-    assert got.triples.flags.c_contiguous and not got.triples.flags.writeable
+    assert got.triples.flags.f_contiguous and not got.triples.flags.writeable
     assert np.array_equal(got.triples, want.triples)
     return split, got
 

@@ -124,7 +124,7 @@ def test_loeto_triangles_from_parent_equal_fresh_enumeration(case):
     train = split_loeto(g, seed).train
     got, want = subgraph_triangles(ts, g, train), enumerate_triangles(train)
     assert got.n == want.n
-    assert got.triples.dtype == np.int64 and got.triples.flags.c_contiguous
+    assert got.triples.dtype == np.int64 and got.triples.flags.f_contiguous
     assert np.array_equal(got.triples, want.triples)
 
 

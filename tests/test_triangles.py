@@ -102,14 +102,14 @@ def test_triples_sorted_contiguous_readonly():
     keep = rng.random(len(iu)) < 0.3
     g = build_graph(EdgeList(tuple(zip(iu[keep].tolist(), ju[keep].tolist()))))
     t = enumerate_triangles(g).triples
-    assert t.dtype == np.int64 and t.flags.c_contiguous and not t.flags.writeable
+    assert t.dtype == np.int64 and t.flags.f_contiguous and not t.flags.writeable
     assert np.all((t[:, 0] < t[:, 1]) & (t[:, 1] < t[:, 2]))
     assert np.array_equal(np.lexsort(t.T[::-1]), np.arange(len(t)))
 
 
 def test_enumeration_holds_the_result_twice_at_most():
-    # The chunks' closed triples are kept as (hits, 3) blocks and joined
-    # once, so the peak is the blocks and their join (twice the result),
+    # The chunks' closed triples are kept as (3, hits) stacks and joined
+    # once, so the peak is the stacks and their join (twice the result),
     # five words per edge (the (m, 2) edge array, the keys, the wedge ends
     # and starts) and four words per wedge of one chunk.
     import tracemalloc
@@ -293,32 +293,84 @@ def test_contractions_bit_equal_to_blockwise_reference(monkeypatch, gnp300, bloc
         assert np.array_equal(tensor_bilinear(ts, x, y), want)
 
 
+def assert_scatter_lists_corners(scatter, block, n):
+    # Row i of the scatter lists, ascending, the positions whose corner is i
+    # in the block's corner columns joined as a|b|c.
+    joined = block.T.ravel()
+    assert scatter.shape == (n, len(joined))
+    for i in range(n):
+        row = scatter.indices[scatter.indptr[i] : scatter.indptr[i + 1]]
+        assert np.array_equal(row, np.flatnonzero(joined == i))
+    assert scatter.indices.dtype == scatter.indptr.dtype == np.int32
+    assert not scatter.indices.flags.writeable and not scatter.indptr.flags.writeable
+    assert np.all(scatter.data == 1.0)
+
+
 def test_corner_index_is_cached_per_triangle_set(monkeypatch, k5):
     ts = enumerate_triangles(k5)
     tensor_row_sums(ts, np.ones(k5.n))
     index = ts._corner_index
     tensor_bilinear(ts, np.ones(k5.n), np.ones(k5.n))
     assert ts._corner_index is index
-    ((idx, scatter),) = index
-    assert np.array_equal(idx, ts.triples.T.ravel())
-    assert not idx.flags.writeable
+    (scatter,) = index
+    assert_scatter_lists_corners(scatter, ts.triples, k5.n)
     # In blocks of 4 the 10 triangles make three blocks, the last one short.
     monkeypatch.setattr(triangles_mod, "_BLOCK", 4)
     blocks = TriangleSet(k5.n, ts.triples)._corner_index
     assert len(blocks) == 3
-    ones = blocks[0][1].data.base
-    for lo, (idx, scatter) in zip(range(0, ts.count, 4), blocks):
-        assert np.array_equal(idx, ts.triples[lo : lo + 4].T.ravel())
-        assert not idx.flags.writeable
-        # Row i of the scatter lists, ascending, the positions whose corner is i.
-        assert scatter.shape == (k5.n, len(idx))
-        for i in range(k5.n):
-            row = scatter.indices[scatter.indptr[i] : scatter.indptr[i + 1]]
-            assert np.array_equal(row, np.flatnonzero(idx == i))
-        assert scatter.indices.dtype == scatter.indptr.dtype == np.int32
+    ones = blocks[0].data.base
+    for lo, scatter in zip(range(0, ts.count, 4), blocks):
+        assert_scatter_lists_corners(scatter, ts.triples[lo : lo + 4], k5.n)
         assert scatter.data.base is ones
-        assert np.all(scatter.data == 1.0)
     assert not ones.flags.writeable
+
+
+def test_corner_index_holds_only_the_scatter(k5):
+    # The corners are read from ``triples``; the cache adds S's int32
+    # indices (12 bytes per triangle), a row pointer per block and the
+    # shared ones. 4 kB covers the Python objects. A second int64 copy of
+    # the corners would add 24 bytes per triangle.
+    import tracemalloc
+
+    enumerate_triangles(k5)._corner_index  # scipy's first-use allocations
+    g = oracles.gnp_graph(600, 0.1, rng_seed=5)
+    ts = enumerate_triangles(g)
+    tracemalloc.start()
+    try:
+        blocks = ts._corner_index
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) == 2
+    ones = blocks[0].data.base
+    assert held <= 12 * ts.count + ones.nbytes + len(blocks) * 4 * (g.n + 1) + 4096
+
+
+def test_contractions_gather_from_the_triples(monkeypatch, gnp300):
+    g, triples = gnp300
+    monkeypatch.setattr(triangles_mod, "_BLOCK", 4096)
+    ts = TriangleSet(g.n, triples)
+    blocks = list(triangles_mod._blocks(ts))
+    assert len(blocks) == -(-ts.count // 4096) > 1
+    for columns, scatter in blocks:
+        for col in columns:
+            assert col.flags.c_contiguous and np.shares_memory(col, ts.triples)
+
+
+def test_triangle_set_from_c_order_rows_contracts_to_the_same_bits(monkeypatch, gnp300):
+    g, triples = gnp300
+    rows = np.ascontiguousarray(triples)
+    assert rows.flags.c_contiguous and not rows.flags.f_contiguous
+    monkeypatch.setattr(triangles_mod, "_BLOCK", 4096)
+    ts = TriangleSet(g.n, rows)
+    assert ts.triples.flags.f_contiguous and not ts.triples.flags.writeable
+    assert np.array_equal(ts.triples, triples)
+    rng = np.random.default_rng(31)
+    x, y = rng.random(g.n), rng.normal(size=g.n)
+    want = oracles.blockwise_bilinear(triples, g.n, x, y, 4096)
+    assert np.array_equal(tensor_bilinear(ts, x, y), want)
+    assert np.array_equal(tensor_bilinear(ts, x, y), tensor_bilinear(TriangleSet(g.n, triples), x, y))
+    assert np.array_equal(tensor_row_sums(ts, x), oracles.blockwise_row_sums(triples, g.n, x, 4096))
 
 
 def test_empty_triangle_set_contracts_to_zeros():
