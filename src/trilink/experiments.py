@@ -3,8 +3,10 @@ harnesses for pairwise and standard link prediction.
 
 A split always keeps the original edge universe intact: train edges and
 held-out test edges partition the input, the train side is rebuilt and
-reduced to its largest connected component, and test edges whose endpoints
-fell out of that component stay in the record but are flagged unusable.
+reduced to its largest connected component, and the held-out edges stay
+rows of indices into the input's labels. One map from input index to train
+index, -1 for a node outside the component, flags the test edges that fell
+out of it as unusable and places loeto's seed edge and triangles in train.
 
 Both harnesses score methods the same way: a method is a ``(name, fn)``
 pair, and ``fn`` maps a :class:`TrialContext` to one float score per train
@@ -17,9 +19,8 @@ train graph shares a cache that lists the triangles once and solves each
 node's single-seed PageRank vector once. Both harnesses build the contexts
 of one train graph and score them through one loop, ``_score_contexts``,
 whose docstring states what it solves when and what it drops. A loeto
-trial's train graph is a subgraph of the parent graph, so its triangles are
-taken from the parent's list (enumerated once per run) rather than
-enumerated again, and only when a method reads them.
+trial takes its triangles from the parent graph's list (enumerated once per
+run), and only when a method reads them.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ from .graph import (
     Graph,
     Label,
     _check_labels,
+    _first_appearance,
     _from_index_pairs,
+    _sorted_unique,
     build_graph,
-    edge_subgraph,
     largest_connected_component,
 )
 from .local import LOCAL_METHODS, score_all_nodes
@@ -75,53 +77,65 @@ class TrialReport:
 
 @dataclass(frozen=True, eq=False)
 class SplitDataset:
-    """A train graph plus held-out test edges (original labels).
-
-    ``test_graph`` holds the usable test edges as a graph on the train
-    nodes: every held-out pair with both endpoints in the train component,
-    without self-loop records. Every split keeps train and test edges
-    disjoint."""
+    """A train graph plus held-out test edges, in the split input's index
+    space: ``labels`` is the input's label tuple, ``test_rows`` the held-out
+    (k, 2) int64 rows into it, in order, and ``to_train`` maps each input
+    index to its train index, -1 outside the train component; ``test_pairs``
+    are made when read. ``test_graph`` holds the usable test edges on the
+    train nodes: the held-out rows with both ends in the component, without
+    self-loop records. Every split keeps train and test edges disjoint."""
 
     train: Graph
-    test_pairs: tuple[tuple[Label, Label], ...]
+    labels: tuple[Label, ...]
+    test_rows: np.ndarray
+    to_train: np.ndarray
     protocol: str
     rng_seed: int | None = None
     meta: dict = field(default_factory=dict)
 
+    @property
+    def test_pairs(self) -> tuple[tuple[Label, Label], ...]:
+        ends = map(self.labels.__getitem__, self.test_rows.ravel().tolist())
+        return tuple(zip(ends, ends))
+
     @cached_property
     def test_graph(self) -> Graph:
-        idx = self.train.label_index
-        usable = [(idx[u], idx[v]) for u, v in self.test_pairs if u in idx and v in idx]
-        pairs = np.sort(np.array(usable, dtype=np.int64).reshape(-1, 2), axis=1)
-        # Drop self-loop records and merge repeated pairs.
-        return _from_index_pairs(np.unique(pairs[pairs[:, 0] < pairs[:, 1]], axis=0), self.train.labels)
+        t = self.to_train[self.test_rows]
+        lo, hi = t.min(axis=1), t.max(axis=1)
+        # Drop the rows with an end outside the train component (-1) and the
+        # self-loop records, then merge repeated pairs.
+        keep = (lo >= 0) & (lo < hi)
+        n = self.train.n
+        keys = _sorted_unique(lo[keep] * n + hi[keep])
+        return _from_index_pairs(np.column_stack([keys // n, keys % n]), self.train.labels)
 
     @property
     def unusable_test_edges(self) -> int:
-        idx = self.train.label_index
-        return sum(1 for u, v in self.test_pairs if u not in idx or v not in idx)
+        return int(np.count_nonzero(self.to_train[self.test_rows].min(axis=1) < 0))
 
 
 # ---------------------------------------------------------------------------
 # splits
 
 
-def _split_rows(labels: Sequence[Label], train_rows: np.ndarray, test_rows: np.ndarray, protocol,
+def _split_rows(labels: tuple[Label, ...], train_rows: np.ndarray, test_rows: np.ndarray, protocol,
                 rng_seed=None, meta=None, min_nodes=3) -> SplitDataset:
     """Split on (k, 2) rows of indices into ``labels``: the train graph is
     the largest component of the distinct edges ``train_rows``, numbered as
     by :func:`build_graph`; ``test_rows`` are the held-out pairs, in order."""
-    test_pairs = tuple((labels[u], labels[v]) for u, v in test_rows.tolist())
-    train = largest_connected_component(edge_subgraph(labels, train_rows))
-    if train.n < min_nodes:
-        raise DataError(f"train component too small ({train.n} nodes)")
-    return SplitDataset(
-        train=train,
-        test_pairs=test_pairs,
-        protocol=protocol,
-        rng_seed=rng_seed,
-        meta=meta or {},
-    )
+    if len(train_rows) == 0:
+        raise DataError("cannot build a graph from an empty edge list")
+    # The component is found on a graph labelled by input index, so its
+    # labels are its nodes' input indices.
+    e, nodes = _first_appearance(train_rows)
+    lcc = largest_connected_component(_from_index_pairs(e, tuple(nodes.tolist())))
+    if lcc.n < min_nodes:
+        raise DataError(f"train component too small ({lcc.n} nodes)")
+    to_train = np.full(len(labels), -1, dtype=np.int64)
+    to_train[np.fromiter(lcc.labels, dtype=np.int64, count=lcc.n)] = np.arange(lcc.n)
+    to_train.setflags(write=False)
+    train = Graph(lcc.indptr, lcc.indices, tuple(map(labels.__getitem__, lcc.labels)))
+    return SplitDataset(train, labels, test_rows, to_train, protocol, rng_seed, meta or {})
 
 
 def split_holdout(g: Graph, test_fraction: float, rng_seed) -> SplitDataset:
@@ -312,10 +326,10 @@ class TrialContext:
     on one train graph share ``cache``, so its triangles, single-seed vectors
     and maxima are computed once. How long a vector stays cached is stated
     by ``_score_contexts``; a vector solved for :meth:`maxima` is dropped
-    once it is folded in. When ``cache`` holds ``"parent"``, a
-    ``(TriangleSet, Graph)`` pair of a graph that ``train`` is a subgraph
-    of, the triangles are taken from the parent's list instead of being
-    enumerated."""
+    once it is folded in. When ``cache`` holds ``"parent"``, a pair of the
+    triangles of a graph that ``train`` is a subgraph of and the map from its
+    node indices to ``train``'s (a split's ``to_train``), the triangles are
+    taken from that list instead of being enumerated."""
 
     train: Graph
     params: DiffusionParams
@@ -742,15 +756,16 @@ def run_pairwise_experiment(
             for _ in range(50):
                 u, v = tri_edge_list[rng.integers(len(tri_edge_list))]
                 lsplit = split_loeto(g, (u, v))
-                tu, tv = map(lsplit.train.label_index.get, (g.labels[u], g.labels[v]))
-                if tu is not None and tv is not None and (truth := ground_truth(lsplit, (tu, tv), truth_mode)):
+                tu, tv = lsplit.to_train[[u, v]].tolist()
+                if tu >= 0 and tv >= 0 and (truth := ground_truth(lsplit, (tu, tv), truth_mode)):
                     break
                 discards += 1
                 del lsplit  # before the next split is built
             else:
                 failed += 1
                 continue
-            score([TrialContext(lsplit.train, params, cache={"parent": (ts_full, g)}, u=tu, v=tv, truth=truth)])
+            cache = {"parent": (ts_full, lsplit.to_train)}
+            score([TrialContext(lsplit.train, params, cache=cache, u=tu, v=tv, truth=truth)])
             del lsplit  # free this trial's train graph before the next split
 
     completed = trials - failed

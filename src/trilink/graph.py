@@ -293,20 +293,6 @@ def _first_appearance(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank[inverse].reshape(e.shape), nodes[order]
 
 
-def edge_subgraph(labels: Sequence[Label], edges: np.ndarray) -> Graph:
-    """Graph on the given (k, 2) rows of distinct undirected edges, given as
-    indices into ``labels``.
-
-    Nodes are re-indexed in first-appearance order over the rows, as
-    :func:`build_graph` would index the same edges given as label pairs;
-    nodes on none of the rows are dropped.
-    """
-    if len(edges) == 0:
-        raise DataError("cannot build a graph from an empty edge list")
-    e, nodes = _first_appearance(edges)
-    return _from_index_pairs(e, tuple(map(labels.__getitem__, nodes.tolist())))
-
-
 def _from_index_pairs(e: np.ndarray, labels: tuple[Label, ...]) -> Graph:
     """CSR graph from an (m, 2) array of distinct undirected dense-index edges."""
     n = len(labels)

@@ -119,22 +119,20 @@ def enumerate_triangles(g: Graph) -> TriangleSet:
     return TriangleSet(n=n, triples=np.concatenate(found, axis=1).T)
 
 
-def subgraph_triangles(ts: TriangleSet, g: Graph, sub: Graph) -> TriangleSet:
-    """The triangles of ``sub``, taken from the triangles ``ts`` of ``g``.
+def subgraph_triangles(ts: TriangleSet, to_sub: np.ndarray, sub: Graph) -> TriangleSet:
+    """The triangles of ``sub``, taken from the triangles ``ts`` of a graph
+    that ``sub`` is a subgraph of; ``to_sub`` maps that graph's node indices
+    to ``sub``'s, -1 for a node outside it, as a split's ``to_train`` does.
 
-    ``sub`` must be a subgraph of ``g`` with nodes matched by label, such as
-    a split's train graph. Its triangles are then exactly the triangles of
-    ``g`` whose three corner pairs are edges of ``sub``. Those rows are
-    relabelled to ``sub``'s indices and re-canonicalized (each row sorted,
-    then the rows in lexicographic order), so the result is array-equal to
-    ``enumerate_triangles(sub)``. The relabel need not be monotone, so the
-    sort is needed. The work is one binary search per corner pair of ``ts``
-    and one sort of the surviving rows, with no wedge expansion.
+    They are exactly the rows of ``ts`` whose three corner pairs are edges
+    of ``sub``. Those rows are mapped to ``sub``'s indices and
+    re-canonicalized (each row sorted, then the rows in lexicographic order),
+    so the result is array-equal to ``enumerate_triangles(sub)``. The map
+    need not be monotone, so the sort is needed. The work is one binary
+    search per corner pair of ``ts`` and one sort of the surviving rows,
+    with no wedge expansion.
     """
     n = sub.n
-    parent_index = np.fromiter(map(g.label_index.__getitem__, sub.labels), dtype=np.int64, count=n)
-    to_sub = np.full(g.n, -1, dtype=np.int64)
-    to_sub[parent_index] = np.arange(n)
     t = to_sub[ts.triples]
     # Every directed edge of ``sub`` as the key i*n + j, sorted (CSR order),
     # then a sentinel past every key, so each search result is a valid index.

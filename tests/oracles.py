@@ -241,6 +241,18 @@ def auc_pairs(values: np.ndarray, positives, candidates) -> float:
 # -- splits -------------------------------------------------------------------
 
 
+def pack_split(labels, train: Graph, test_pairs, protocol, rng_seed=None, meta=None) -> SplitDataset:
+    """A split of the input labels ``labels`` from its train graph and its
+    held-out label pairs, each label mapped to its input index through a
+    dict."""
+    index = {w: i for i, w in enumerate(labels)}
+    test_rows = np.array([(index[u], index[v]) for u, v in test_pairs], dtype=np.int64).reshape(-1, 2)
+    to_train = np.full(len(labels), -1, dtype=np.int64)
+    for i, w in enumerate(train.labels):
+        to_train[index[w]] = i
+    return SplitDataset(train, tuple(labels), test_rows, to_train, protocol, rng_seed, meta or {})
+
+
 def _label_pair_split(g: Graph, held_out, protocol, rng_seed, meta) -> SplitDataset:
     """Train graph rebuilt from original-label pairs: build_graph, then the
     largest component. ``held_out`` is a set of dense (u < v) edges."""
@@ -249,7 +261,7 @@ def _label_pair_split(g: Graph, held_out, protocol, rng_seed, meta) -> SplitData
         pair = (g.labels[u], g.labels[v])
         (test_pairs if (u, v) in held_out else train_pairs).append(pair)
     train = largest_connected_component(build_graph(EdgeList(tuple(train_pairs))))
-    return SplitDataset(train, tuple(test_pairs), protocol, rng_seed, meta)
+    return pack_split(g.labels, train, test_pairs, protocol, rng_seed, meta)
 
 
 def holdout_split(g: Graph, fraction: float, rng_seed: int) -> SplitDataset:
@@ -294,7 +306,7 @@ def temporal_split(edges: EdgeList, train_fraction: float) -> SplitDataset:
     train = largest_connected_component(build_graph(EdgeList(tuple(train_pairs))))
     if train.n < 3:
         raise DataError(f"train component too small ({train.n} nodes)")
-    return SplitDataset(train, tuple(test_pairs), "temporal", None, {"fraction": train_fraction})
+    return pack_split(edges.labels, train, test_pairs, "temporal", None, {"fraction": train_fraction})
 
 
 def truth_oracle(split: SplitDataset, seed_edge: tuple[int, int], truth_mode: str) -> frozenset[int]:

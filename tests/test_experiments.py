@@ -191,6 +191,7 @@ def assert_same_split(got, want):
     assert np.array_equal(got.train.indices, want.train.indices)
     assert got.train.labels == want.train.labels
     assert got.test_pairs == want.test_pairs
+    assert np.array_equal(got.test_rows, want.test_rows) and np.array_equal(got.to_train, want.to_train)
     assert (got.protocol, got.rng_seed, got.meta) == (want.protocol, want.rng_seed, want.meta)
     assert got.unusable_test_edges == want.unusable_test_edges
 
@@ -223,7 +224,7 @@ def test_splits_match_label_pair_rebuild_when_lcc_drops_nodes(couple, triangle_p
 
 def assert_loeto_triangles_from_parent(g, ts, u, v):
     split = split_loeto(g, (u, v))
-    got = subgraph_triangles(ts, g, split.train)
+    got = subgraph_triangles(ts, split.to_train, split.train)
     want = enumerate_triangles(split.train)
     assert got.n == want.n == split.train.n
     assert got.triples.dtype == np.int64
@@ -273,9 +274,9 @@ def test_loeto_derives_triangles_only_when_a_method_reads_them(monkeypatch):
         enumerated.append(graph.n)
         return enumerate_triangles(graph)
 
-    def deriving(ts, g, sub):
+    def deriving(ts, to_sub, sub):
         derived.append(sub.n)
-        return subgraph_triangles(ts, g, sub)
+        return subgraph_triangles(ts, to_sub, sub)
 
     monkeypatch.setattr(ex, "enumerate_triangles", enumerating)
     monkeypatch.setattr(ex, "subgraph_triangles", deriving)
@@ -286,7 +287,7 @@ def test_loeto_derives_triangles_only_when_a_method_reads_them(monkeypatch):
     res = run_pairwise_experiment(g, "loeto", ["trpr", "trprw"], trials=10, rng_seed=6)
     assert enumerated == [g.n] and len(derived) == res.metadata["trials_completed"]
     # the reports equal those of a run that enumerates every train graph
-    monkeypatch.setattr(ex, "subgraph_triangles", lambda ts, g, sub: enumerate_triangles(sub))
+    monkeypatch.setattr(ex, "subgraph_triangles", lambda ts, to_sub, sub: enumerate_triangles(sub))
     fresh = run_pairwise_experiment(g, "loeto", ["trpr", "trprw"], trials=10, rng_seed=6)
     assert fresh.details == res.details and fresh.metadata == res.metadata
 
@@ -295,15 +296,12 @@ def test_loeto_derives_triangles_only_when_a_method_reads_them(monkeypatch):
 
 
 def holdout_like_split(train_pairs, test_pairs):
-    from trilink.experiments import SplitDataset
-
     train = largest_connected_component(build_graph(EdgeList(tuple(train_pairs))))
-    return SplitDataset(train=train, test_pairs=tuple(test_pairs), protocol="holdout")
+    labels = tuple(dict.fromkeys(w for pair in [*train_pairs, *test_pairs] for w in pair))
+    return oracles.pack_split(labels, train, test_pairs, "holdout")
 
 
 def test_ground_truth_and_mode():
-    split = holdout_like_split([(1, 2), (2, 3), (3, 4), (4, 1)], [(1, 4), (2, 4)])
-    # wait: (1,4) is in train; use a clean setup below instead
     split = holdout_like_split([(1, 2), (2, 3), (3, 4)], [(1, 4), (2, 4)])
     ix = split.train.label_index
     got = ground_truth(split, (ix[1], ix[2]), "and")

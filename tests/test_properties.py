@@ -115,14 +115,26 @@ def assert_partition(g, split) -> None:
     assert test <= edges and train <= edges and not train & test
     nodes = set(split.train.labels)
     assert all(not e & nodes for e in edges - train - test)
+    assert_index_map(g.labels, split)
+
+
+def assert_index_map(labels, split) -> None:
+    """The split keeps the input's labels, ``to_train`` inverts the train
+    numbering, and ``test_pairs`` are the label pairs of ``test_rows``."""
+    assert split.labels is labels
+    to_train, train = split.to_train.tolist(), set(split.train.labels)
+    assert [t >= 0 for t in to_train] == [w in train for w in labels]
+    assert all(split.train.labels[t] == w for t, w in zip(to_train, labels) if t >= 0)
+    assert split.test_pairs == tuple((labels[u], labels[v]) for u, v in split.test_rows.tolist())
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(loeto_cases())
 def test_loeto_triangles_from_parent_equal_fresh_enumeration(case):
     g, ts, seed = case
-    train = split_loeto(g, seed).train
-    got, want = subgraph_triangles(ts, g, train), enumerate_triangles(train)
+    split = split_loeto(g, seed)
+    train = split.train
+    got, want = subgraph_triangles(ts, split.to_train, train), enumerate_triangles(train)
     assert got.n == want.n
     assert got.triples.dtype == np.int64 and got.triples.flags.f_contiguous
     assert np.array_equal(got.triples, want.triples)
@@ -368,3 +380,5 @@ def _split_outcome(split, *args):
 def test_temporal_split_matches_the_reference_loop(edges, fraction):
     got = _split_outcome(split_temporal, edges, fraction)
     assert got == _split_outcome(oracles.temporal_split, edges, fraction)
+    if not isinstance(got, type):
+        assert_index_map(edges.labels, split_temporal(edges, fraction))

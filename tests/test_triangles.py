@@ -155,7 +155,8 @@ def test_subgraph_triangles_drop_rows_with_a_corner_outside_the_subgraph():
     # the corner check drops the row.
     g = build_graph(EdgeList(((0, 1), (1, 4), (1, 5), (4, 5), (4, 6), (4, 3), (5, 6), (2, 6), (6, 3))))
     sub = build_graph(EdgeList(((0, 1), (1, 5), (4, 5), (4, 6), (5, 6))))
-    got = subgraph_triangles(enumerate_triangles(g), g, sub)
+    to_sub = np.array([sub.label_index.get(w, -1) for w in g.labels], dtype=np.int64)
+    got = subgraph_triangles(enumerate_triangles(g), to_sub, sub)
     assert got.n == sub.n
     assert np.array_equal(got.triples, enumerate_triangles(sub).triples)
     assert [sorted(sub.labels[i] for i in row) for row in got.triples.tolist()] == [[4, 5, 6]]
