@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .diffusion import DiffusionParams, make_seed, rank_stability, top_k_indices, trpr_iterates
+from .diffusion import DiffusionParams, make_seed, rank_stability, trpr_iterates
 from .experiments import (
     DEFAULT_LINKPRED_METHODS,
     DEFAULT_PAIRWISE_METHODS,
@@ -36,14 +36,13 @@ from .experiments import (
 from .generators import GpaParams, generate_gpa
 from .graph import (
     DataError,
-    _sorted_unique,
     _token,
     build_graph,
     largest_connected_component,
     load_edge_list,
     write_edge_list,
 )
-from .triangles import enumerate_triangles
+from .triangles import enumerate_triangles, triangles_per_edge
 
 
 class _Parser(argparse.ArgumentParser):
@@ -229,19 +228,6 @@ def cmd_linkpred(args) -> int:
     return 0
 
 
-def _default_diagnose_edge(g, ts) -> tuple[int, int]:
-    # The edge in the most triangles, smallest (u, v) among ties: count each
-    # triangle's corner pairs against the sorted keys u * n + v of the edges.
-    edges = g.edge_array()
-    keys = edges[:, 0] * g.n + edges[:, 1]
-    a, b, c = ts.triples.T
-    counts = np.zeros(len(edges), dtype=np.int64)
-    for x, y in ((a, b), (a, c), (b, c)):
-        counts += np.bincount(np.searchsorted(keys, x * g.n + y), minlength=len(edges))
-    u, v = edges[np.argmax(counts)]
-    return int(u), int(v)
-
-
 def cmd_diagnose(args) -> int:
     if args.max_iters < 0:
         raise ValueError("max_iters must be >= 0")
@@ -261,30 +247,22 @@ def cmd_diagnose(args) -> int:
         if not g.has_edge(u, v):
             raise DataError(f"--edge {args.edge!r} is not an edge of the graph's largest component")
     else:
-        u, v = _default_diagnose_edge(g, ts)
+        # The edge in the most triangles; argmax picks the smallest (u, v) on a tie.
+        u, v = g.edge_array()[np.argmax(triangles_per_edge(g, ts))].tolist()
     seed = make_seed(g, "pair", u, v)
-    # Only the previous iterate and the reference iterate are kept, each with
-    # its top-k nodes, so each iterate is sorted once; each consecutive pair's
-    # statistics are taken as the iteration runs, top-k ones over the union
-    # of the two top-k sets, as rank_stability(..., top_k=) restricts them.
+    # Only the previous and the reference iterate are kept; each step's statistics are taken as it comes.
     ref = min(params.iterations, args.max_iters)
     x = x_ref = seed.dense(g.n)
-    top = top_ref = top_k_indices(x, args.top_k)
     rows = [f"iter,l1_delta,spearman_full,kendall_full,spearman_top{args.top_k},kendall_top{args.top_k}\n"]
     for i, x_next, _, delta in trpr_iterates(g, ts, seed, params, args.weighted, iterations=args.max_iters):
-        top_next = top_k_indices(x_next, args.top_k)
-        keep = _sorted_unique(np.concatenate([top, top_next]))
-        rho_f, tau_f = rank_stability(x, x_next)
-        rho_t, tau_t = rank_stability(x[keep], x_next[keep])
-        rows.append(f"{i},{delta!r},{rho_f!r},{tau_f!r},{rho_t!r},{tau_t!r}\n")
-        x, top = x_next, top_next
+        stats = rank_stability(x, x_next) + rank_stability(x, x_next, top_k=args.top_k)
+        rows.append(",".join([str(i), repr(delta), *map(repr, stats)]) + "\n")
+        x = x_next
         if i == ref:
-            x_ref, top_ref = x, top
-    keep = _sorted_unique(np.concatenate([top_ref, top]))
-    rho_f, tau_f = rank_stability(x_ref, x)
-    rho_t, tau_t = rank_stability(x_ref[keep], x[keep])
+            x_ref = x
+    stats = rank_stability(x_ref, x) + rank_stability(x_ref, x, top_k=args.top_k)
     gap = float(np.abs(x - x_ref).sum())
-    rows.append(f"{ref}v{args.max_iters},{gap!r},{rho_f!r},{tau_f!r},{rho_t!r},{tau_t!r}\n")
+    rows.append(",".join([f"{ref}v{args.max_iters}", repr(gap), *map(repr, stats)]) + "\n")
 
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "diagnose.csv")

@@ -52,7 +52,7 @@ from .graph import (
     largest_connected_component,
 )
 from .local import LOCAL_METHODS, score_all_nodes
-from .triangles import TriangleSet, enumerate_triangles, subgraph_triangles, triangle_edges
+from .triangles import TriangleSet, enumerate_triangles, subgraph_triangles, triangles_per_edge
 
 log = logging.getLogger("trilink")
 
@@ -195,10 +195,9 @@ def split_loeto(g: Graph, seed_edge: tuple[int, int]) -> SplitDataset:
     wedge_nodes = np.intersect1d(g.neighbors(u), g.neighbors(v), assume_unique=True)
     if len(wedge_nodes) == 0:
         raise ValueError(f"seed edge ({u}, {v}) participates in no triangle")
-    n, w = g.n, wedge_nodes
-    removed = np.concatenate([np.minimum(x, w) * n + np.maximum(x, w) for x in (u, v)])
     edges = g.edge_array()
-    test_mask = np.isin(edges[:, 0] * n + edges[:, 1], removed)
+    test_mask = np.zeros(len(edges), dtype=bool)
+    test_mask[g.edge_ids([[u], [v]], wedge_nodes)] = True
     lab = g.labels
     # A 2-node train component is a legal (if useless) outcome here; the
     # harness discards such trials rather than erroring.
@@ -748,13 +747,13 @@ def run_pairwise_experiment(
         score(drawn)
     else:  # loeto
         ts_full = enumerate_triangles(g)
-        tri_edge_list = triangle_edges(ts_full)
-        if not tri_edge_list:
+        seeds = g.edge_array()[triangles_per_edge(g, ts_full) > 0]
+        if not len(seeds):
             raise DataError("graph has no triangles; cannot run the triangles-out protocol")
         for i in range(trials):
             rng = np.random.default_rng(children[i + 1])
             for _ in range(50):
-                u, v = tri_edge_list[rng.integers(len(tri_edge_list))]
+                u, v = seeds[rng.integers(len(seeds))].tolist()
                 lsplit = split_loeto(g, (u, v))
                 tu, tv = lsplit.to_train[[u, v]].tolist()
                 if tu >= 0 and tv >= 0 and (truth := ground_truth(lsplit, (tu, tv), truth_mode)):

@@ -1,8 +1,8 @@
 """Triangle enumeration and implicit products with the triangle tensor.
 
 Triangles are listed by a vectorized forward pass over index-oriented edges:
-wedges expanded in bounded chunks and closed by a binary search on the sorted
-edge keys. The (symmetric, 0/1) triangle indicator tensor is never
+wedges expanded in bounded chunks and closed by the graph's own edge lookup,
+``Graph.edge_ids``. The (symmetric, 0/1) triangle indicator tensor is never
 materialized: every product is an accumulation over the canonical triangle
 list, so all costs are linear in the number of triangles.
 
@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, _sorted_unique
+from .graph import Graph
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,22 +81,19 @@ def enumerate_triangles(g: Graph) -> TriangleSet:
 
     Each edge (i, j) with i < j is oriented from i to j, so the forward list
     of ``i`` is the tail of its sorted neighbor row past ``i``. Every wedge
-    (i; j < k) of two forward edges is closed by a ``searchsorted`` of the key
-    ``j*n + k`` in the sorted keys of all oriented edges. Wedges are expanded
-    in chunks of at most ``_BLOCK`` (a chunk may split one edge's wedges), so
-    temporaries stay bounded by the chunk size. Wedges come out ordered by
-    (i, j, k), so the rows are already in canonical lexicographic order and
-    each triangle appears exactly once. The work is one binary search per
-    forward wedge, with no Python loop per node or edge (Latapy, "Main-memory
-    triangle computations for very large (sparse (power-law)) graphs", TCS
-    2008).
+    (i; j < k) of two forward edges is closed when ``g.edge_ids(j, k)``
+    finds the edge (j, k). Wedges are expanded in chunks of at most
+    ``_BLOCK`` (a chunk may split one edge's wedges), so temporaries stay
+    bounded by the chunk size. Wedges come out ordered by (i, j, k), so the
+    rows are already in canonical lexicographic order and each triangle
+    appears exactly once. The work is one binary search per forward wedge,
+    with no Python loop per node or edge (Latapy, "Main-memory triangle
+    computations for very large (sparse (power-law)) graphs", TCS 2008).
     """
     n = g.n
     # The oriented edges, sorted by (i, j); edge e's later forward neighbors
     # of i sit right after it in ``heads``.
     tails, heads = g.edge_array().T
-    # A sentinel past every key keeps each search result a valid index.
-    keys = np.append(tails * n + heads, n * n)
     # Edge e closes a wedge with each later forward neighbor of its tail;
     # its wedges are numbered starts[e] .. ends[e] - 1, and wedge w takes
     # its k from heads[e + 1 + w - starts[e]].
@@ -112,8 +109,7 @@ def enumerate_triangles(g: Graph) -> TriangleSet:
         e1 = int(np.searchsorted(starts, hi, side="left"))
         e = np.repeat(np.arange(e0, e1), np.minimum(ends[e0:e1], hi) - np.maximum(starts[e0:e1], lo))
         k = heads[e + 1 - starts[e] + np.arange(lo, hi)]
-        want = heads[e] * n + k
-        closed = keys[np.searchsorted(keys, want)] == want
+        closed = g.edge_ids(heads[e], k) >= 0
         e = e[closed]
         found.append(np.stack([tails[e], heads[e], k[closed]]))
     return TriangleSet(n=n, triples=np.concatenate(found, axis=1).T)
@@ -125,25 +121,17 @@ def subgraph_triangles(ts: TriangleSet, to_sub: np.ndarray, sub: Graph) -> Trian
     to ``sub``'s, -1 for a node outside it, as a split's ``to_train`` does.
 
     They are exactly the rows of ``ts`` whose three corner pairs are edges
-    of ``sub``. Those rows are mapped to ``sub``'s indices and
-    re-canonicalized (each row sorted, then the rows in lexicographic order),
-    so the result is array-equal to ``enumerate_triangles(sub)``. The map
-    need not be monotone, so the sort is needed. The work is one binary
-    search per corner pair of ``ts`` and one sort of the surviving rows,
-    with no wedge expansion.
+    of ``sub`` (``sub.edge_ids`` finds none at a corner of -1). Those rows
+    are mapped to ``sub``'s indices and re-canonicalized (each row sorted,
+    then the rows in lexicographic order), so the result is array-equal to
+    ``enumerate_triangles(sub)``. The map need not be monotone, so the sort
+    is needed. The work is one binary search per corner pair of ``ts`` and
+    one sort of the surviving rows, with no wedge expansion.
     """
     n = sub.n
-    t = to_sub[ts.triples]
-    # Every directed edge of ``sub`` as the key i*n + j, sorted (CSR order),
-    # then a sentinel past every key, so each search result is a valid index.
-    keys = np.append(np.repeat(np.arange(n, dtype=np.int64), sub.degrees) * n + sub.indices, n * n)
-    # A corner outside ``sub`` maps to -1, and a pair key with a -1 in it can
-    # equal a real edge's key, so those rows are dropped here.
-    keep = t.min(axis=1) >= 0
-    for x, y in ((0, 1), (0, 2), (1, 2)):
-        want = t[:, x] * n + t[:, y]
-        keep &= keys[np.searchsorted(keys, want)] == want
-    a, b, c = t[keep].T
+    a, b, c = to_sub[ts.triples].T
+    keep = (sub.edge_ids(a, b) >= 0) & (sub.edge_ids(a, c) >= 0) & (sub.edge_ids(b, c) >= 0)
+    a, b, c = a[keep], b[keep], c[keep]
     lo = np.minimum(np.minimum(a, b), c)
     hi = np.maximum(np.maximum(a, b), c)
     mid = a + b + c - lo - hi
@@ -221,10 +209,13 @@ def reinforced_matrix_apply(
     return gamma * tensor_bilinear(ts, x, y) + g.adjacency @ y
 
 
-def triangle_edges(ts: TriangleSet) -> list[tuple[int, int]]:
-    """The edges (u < v) in at least one triangle, in (u, v) order: the
-    distinct keys u * n + v, sorted."""
-    a, b, c = ts.triples.T
-    n = ts.n
-    keys = _sorted_unique(np.concatenate([a * n + b, a * n + c, b * n + c]))
-    return list(zip((keys // n).tolist(), (keys % n).tolist()))
+def triangles_per_edge(g: Graph, ts: TriangleSet) -> np.ndarray:
+    """The number of triangles of ``g`` (listed in ``ts``) on each row of
+    ``g.edge_array()``, as int64; the corner pairs are looked up one block
+    of ``_BLOCK`` triangles at a time, so the temporaries stay bounded."""
+    counts = np.zeros(g.m, dtype=np.int64)
+    for lo in range(0, ts.count, _BLOCK):
+        a, b, c = ts.triples[lo : lo + _BLOCK].T
+        for x, y in ((a, b), (a, c), (b, c)):
+            counts += np.bincount(g.edge_ids(x, y), minlength=g.m)
+    return counts

@@ -24,7 +24,7 @@ from trilink import (
     trpr_iterates,
     write_edge_list,
 )
-from trilink.cli import _default_diagnose_edge, main
+from trilink.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +121,8 @@ def test_diagnose_rows_match_stored_iterates(gpa_file, tmp_path):
     assert rc == 0
     g = largest_connected_component(build_graph(load_edge_list(gpa_file)))
     ts = enumerate_triangles(g)
-    u, v = _default_diagnose_edge(g, ts)
+    meta = json.loads((tmp_path / "diagnose_metadata.json").read_text())
+    u, v = (g.label_index[w] for w in meta["seed_edge"])
     seed = make_seed(g, "pair", u, v)
     params = DiffusionParams(alpha=0.85, iterations=6)
     its = [seed.dense(g.n)] + [x for _, x, _, _ in trpr_iterates(g, ts, seed, params, iterations=15)]
@@ -173,7 +174,12 @@ def _diagnose_edge_reference(g, ts):
     return min(counts, key=lambda e: (-counts[e], e))
 
 
-def test_default_diagnose_edge_matches_reference():
+def _diagnose_default_edge(path: Path, out_dir: Path) -> list:
+    assert main(["diagnose", "--input", str(path), "--max-iters", "1", "--out-dir", str(out_dir)]) == 0
+    return json.loads((out_dir / "diagnose_metadata.json").read_text())["seed_edge"]
+
+
+def test_default_diagnose_edge_matches_reference(tmp_path):
     import numpy as np
 
     rng = np.random.default_rng(5)
@@ -184,17 +190,22 @@ def test_default_diagnose_edge_matches_reference():
         keep = rng.random(len(iu)) < rng.uniform(0.1, 0.6)
         if not keep.any():
             continue
-        g = build_graph(EdgeList(tuple(zip(iu[keep].tolist(), ju[keep].tolist()))))
+        path = tmp_path / "g.tsv"
+        write_edge_list(path, EdgeList(tuple(zip(iu[keep].tolist(), ju[keep].tolist()))))
+        g = largest_connected_component(build_graph(load_edge_list(path)))
         ts = enumerate_triangles(g)
-        want = _diagnose_edge_reference(g, ts)
-        assert _default_diagnose_edge(g, ts) == want
+        u, v = _diagnose_edge_reference(g, ts)
+        assert _diagnose_default_edge(path, tmp_path) == [g.labels[u], g.labels[v]]
         counts = Counter(e for a, b, c in ts.triples.tolist() for e in ((a, b), (a, c), (b, c)))
         ties += list(counts.values()).count(max(counts.values(), default=0)) > 1
     assert ties >= 5
-    path = build_graph(EdgeList(((3, 1), (1, 2), (2, 0))))
-    ts = enumerate_triangles(path)
+    path = tmp_path / "path.tsv"
+    write_edge_list(path, EdgeList(((3, 1), (1, 2), (2, 0))))
+    g = build_graph(load_edge_list(path))
+    ts = enumerate_triangles(g)
     assert ts.count == 0
-    assert _default_diagnose_edge(path, ts) == _diagnose_edge_reference(path, ts)
+    u, v = _diagnose_edge_reference(g, ts)
+    assert _diagnose_default_edge(path, tmp_path) == [g.labels[u], g.labels[v]]
 
 
 def test_diagnose_edge_keeps_leading_zero_labels(tmp_path):

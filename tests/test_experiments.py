@@ -38,7 +38,7 @@ from trilink.experiments import (
     _eligible_seed_edges,
 )
 from trilink.local import LOCAL_METHODS
-from trilink.triangles import subgraph_triangles, triangle_edges
+from trilink.triangles import subgraph_triangles, triangles_per_edge
 
 import oracles
 
@@ -237,7 +237,7 @@ def test_loeto_triangles_from_parent_list():
     for gseed in (2, 3, 4):
         g = small_gpa(seed=gseed, steps=300)
         ts = enumerate_triangles(g)
-        seeds = triangle_edges(ts)
+        seeds = g.edge_array()[triangles_per_edge(g, ts) > 0].tolist()
         rng = np.random.default_rng(gseed)
         for i in rng.choice(len(seeds), size=8, replace=False):
             _, got = assert_loeto_triangles_from_parent(g, ts, *seeds[i])
@@ -261,7 +261,7 @@ def test_loeto_triangles_from_parent_list_when_lcc_drops_nodes(couple, triangle_
     for g in (couple, triangle_pendant, k4_and_triangle):
         ts = enumerate_triangles(g)
         sizes = [assert_loeto_triangles_from_parent(g, ts, u, v)[0].train.n
-                 for u, v in triangle_edges(ts)]
+                 for u, v in g.edge_array()[triangles_per_edge(g, ts) > 0].tolist()]
         assert min(sizes) < g.n
 
 
@@ -353,7 +353,7 @@ def _truth_oracle_splits() -> list:
     g = small_gpa(seed=5, steps=200)
     lab = g.labels
     splits = [split_holdout(g, 0.3, seed) for seed in (1, 2)]
-    tri = triangle_edges(enumerate_triangles(g))
+    tri = g.edge_array()[triangles_per_edge(g, enumerate_triangles(g)) > 0].tolist()
     splits += [split_loeto(g, tri[i]) for i in np.random.default_rng(8).choice(len(tri), 3, replace=False)]
     # Temporal records, in time order after a random order of the edges: a
     # 2-node component that trains outside the largest one; then, held out,
@@ -396,7 +396,7 @@ def test_loeto_refuses_or_truth():
     # loeto holds out both wedge edges of every triangle on the seed edge, so
     # no node keeps one of them in train and 'or' truth is always empty.
     g = small_gpa(steps=300)
-    for u, v in triangle_edges(enumerate_triangles(g))[::10]:
+    for u, v in g.edge_array()[triangles_per_edge(g, enumerate_triangles(g)) > 0][::10].tolist():
         split = split_loeto(g, (u, v))
         idx = split.train.label_index
         if g.labels[u] in idx and g.labels[v] in idx:

@@ -272,6 +272,46 @@ def test_degrees_and_neighbors(path3):
         path3.neighbors(-1)
 
 
+def test_edge_ids_match_the_edge_rows():
+    # Every ordered pair of ends in [-1, n), self pairs and pairs with -1 (a
+    # node outside the graph) included, against a dict of edge_array()'s rows.
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        g = oracles.random_graph(rng)
+        rows = {frozenset(e): r for r, e in enumerate(g.edge_array().tolist())}
+        ends = np.arange(-1, g.n)
+        i, j = np.repeat(ends, len(ends)), np.tile(ends, len(ends))
+        got = g.edge_ids(i, j)
+        assert got.dtype == np.int64
+        assert got.tolist() == [rows.get(frozenset(p), -1) for p in zip(i.tolist(), j.tolist())]
+        nodes = [p for p in zip(i.tolist(), j.tolist()) if min(p) >= 0]
+        assert [g.has_edge(a, b) for a, b in nodes] == [frozenset(p) in rows for p in nodes]
+        u, v = g.edge_array()[-1].tolist()
+        assert g.edge_ids(v, u) == g.m - 1
+        assert g.edge_ids(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)).shape == (0,)
+
+
+def test_edge_ids_refuse_ends_outside_the_graph():
+    # Unchecked, the pair (0, 11) of this 4-node graph has the key of the
+    # edge (2, 3), 2 * 4 + 3.
+    g = build_graph(EdgeList(((0, 1), (0, 2), (1, 2), (2, 3))))
+    assert g.edge_ids([2], [3]).tolist() == [3]
+    for i, j in (([0], [11]), ([0], [4]), ([-2], [1]), (1, -5)):
+        with pytest.raises(IndexError):
+            g.edge_ids(i, j)
+    with pytest.raises(IndexError):
+        g.has_edge(-1, 0)
+
+
+def test_edge_ids_key_int32_ends_in_int64():
+    # On a 50,000-node path the key of the last edge, 49,998 * 50,000 +
+    # 49,999, overflows int32; formed in int32 it read -1.
+    g = build_graph(EdgeList(tuple(zip(range(49_999), range(1, 50_000)))))
+    ends = np.array([49_998, 49_999], dtype=np.int32)
+    assert g.edge_ids(ends[:1], ends[1:]).tolist() == [g.m - 1]
+    assert g.edge_ids(ends[1], ends[0]) == g.m - 1
+
+
 def test_couple_degrees(couple):
     ix = couple.label_index
     # hubs: each other plus the six mutual friends

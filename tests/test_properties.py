@@ -37,7 +37,7 @@ from trilink import (
 )
 from trilink.diffusion import SEED_KINDS, _ranks, rank_stability
 from trilink.experiments import _best_truth_rank
-from trilink.triangles import subgraph_triangles, triangle_edges
+from trilink.triangles import subgraph_triangles, triangles_per_edge
 
 import oracles
 
@@ -96,7 +96,7 @@ def loeto_cases(draw):
     """A graph, its triangles and one of its triangle edges."""
     g = draw(graphs())
     ts = enumerate_triangles(g)
-    seeds = triangle_edges(ts)
+    seeds = g.edge_array()[triangles_per_edge(g, ts) > 0].tolist()
     assume(seeds)
     return g, ts, draw(st.sampled_from(seeds))
 

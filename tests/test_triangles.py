@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from trilink import (
     tensor_row_sums,
 )
 from trilink import triangles as triangles_mod
-from trilink.triangles import subgraph_triangles, triangle_edges
+from trilink.triangles import subgraph_triangles, triangles_per_edge
 
 import oracles
 
@@ -93,7 +94,7 @@ def test_triangle_free_shape_and_dtype():
     ts = enumerate_triangles(g)
     assert ts.triples.shape == (0, 3)
     assert ts.triples.dtype == np.int64
-    assert triangle_edges(ts) == []
+    assert triangles_per_edge(g, ts).tolist() == [0] * g.m
 
 
 def test_triples_sorted_contiguous_readonly():
@@ -136,16 +137,34 @@ def test_per_node_counts_match_networkx():
     assert [int(per_node[i]) for i in range(g.n)] == [want[lab] for lab in g.labels]
 
 
-def test_triangle_edges_match_triples():
+def test_triangles_per_edge_match_brute_force():
     rng = np.random.default_rng(9)
     for _ in range(30):
         g = oracles.random_graph(rng)
-        want = set()
-        for a, b, c in oracles.brute_triangles(g):
-            want |= {(a, b), (a, c), (b, c)}
-        got = triangle_edges(enumerate_triangles(g))
-        assert got == sorted(want)
-        assert all(type(u) is int and type(v) is int for u, v in got)
+        want = Counter(e for a, b, c in oracles.brute_triangles(g) for e in ((a, b), (a, c), (b, c)))
+        got = triangles_per_edge(g, enumerate_triangles(g))
+        assert got.dtype == np.int64
+        assert got.tolist() == [want[e] for e in map(tuple, g.edge_array().tolist())]
+
+
+def test_triangles_per_edge_counts_a_block_at_a_time():
+    # The corner pairs of one block of _BLOCK triangles are looked up at a
+    # time, so the peak is two words per edge (the counts and one bincount)
+    # and a few words per triangle of one block, however many triangles
+    # there are: about 1.1 MiB here, against 3.2 MiB for all at once.
+    import tracemalloc
+
+    g = oracles.gnp_graph(900, 0.1, rng_seed=5)
+    ts = enumerate_triangles(g)
+    tracemalloc.start()
+    try:
+        counts = triangles_per_edge(g, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ts.count > 3 * triangles_mod._BLOCK
+    assert counts.sum() == 3 * ts.count
+    assert peak < 2 * 8 * g.m + 4 * 8 * triangles_mod._BLOCK
 
 
 def test_subgraph_triangles_drop_rows_with_a_corner_outside_the_subgraph():
