@@ -47,7 +47,6 @@ from .graph import (
     _check_labels,
     _first_appearance,
     _from_index_pairs,
-    _sorted_unique,
     build_graph,
     largest_connected_component,
 )
@@ -80,18 +79,15 @@ class SplitDataset:
     """A train graph plus held-out test edges, in the split input's index
     space: ``labels`` is the input's label tuple, ``test_rows`` the held-out
     (k, 2) int64 rows into it, in order, and ``to_train`` maps each input
-    index to its train index, -1 outside the train component; ``test_pairs``
-    are made when read. ``test_graph`` holds the usable test edges on the
-    train nodes: the held-out rows with both ends in the component, without
-    self-loop records. Every split keeps train and test edges disjoint."""
+    index to its train index, -1 outside the train component. Derived when
+    read: ``test_pairs``, the held-out rows' labels, and ``test_graph``, the
+    usable test edges on the train nodes (the held-out rows with both ends
+    in the component). Every split keeps train and test edges disjoint."""
 
     train: Graph
     labels: tuple[Label, ...]
     test_rows: np.ndarray
     to_train: np.ndarray
-    protocol: str
-    rng_seed: int | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def test_pairs(self) -> tuple[tuple[Label, Label], ...]:
@@ -101,13 +97,7 @@ class SplitDataset:
     @cached_property
     def test_graph(self) -> Graph:
         t = self.to_train[self.test_rows]
-        lo, hi = t.min(axis=1), t.max(axis=1)
-        # Drop the rows with an end outside the train component (-1) and the
-        # self-loop records, then merge repeated pairs.
-        keep = (lo >= 0) & (lo < hi)
-        n = self.train.n
-        keys = _sorted_unique(lo[keep] * n + hi[keep])
-        return _from_index_pairs(np.column_stack([keys // n, keys % n]), self.train.labels)
+        return _from_index_pairs(t[t.min(axis=1) >= 0], self.train.labels)
 
     @property
     def unusable_test_edges(self) -> int:
@@ -118,10 +108,10 @@ class SplitDataset:
 # splits
 
 
-def _split_rows(labels: tuple[Label, ...], train_rows: np.ndarray, test_rows: np.ndarray, protocol,
-                rng_seed=None, meta=None, min_nodes=3) -> SplitDataset:
+def _split_rows(labels: tuple[Label, ...], train_rows: np.ndarray, test_rows: np.ndarray,
+                min_nodes=3) -> SplitDataset:
     """Split on (k, 2) rows of indices into ``labels``: the train graph is
-    the largest component of the distinct edges ``train_rows``, numbered as
+    the largest component of the edges ``train_rows``, numbered as
     by :func:`build_graph`; ``test_rows`` are the held-out pairs, in order."""
     if len(train_rows) == 0:
         raise DataError("cannot build a graph from an empty edge list")
@@ -135,7 +125,7 @@ def _split_rows(labels: tuple[Label, ...], train_rows: np.ndarray, test_rows: np
     to_train[np.fromiter(lcc.labels, dtype=np.int64, count=lcc.n)] = np.arange(lcc.n)
     to_train.setflags(write=False)
     train = Graph(lcc.indptr, lcc.indices, tuple(map(labels.__getitem__, lcc.labels)))
-    return SplitDataset(train, labels, test_rows, to_train, protocol, rng_seed, meta or {})
+    return SplitDataset(train, labels, test_rows, to_train)
 
 
 def split_holdout(g: Graph, test_fraction: float, rng_seed) -> SplitDataset:
@@ -150,9 +140,7 @@ def split_holdout(g: Graph, test_fraction: float, rng_seed) -> SplitDataset:
     perm = np.random.default_rng(rng_seed).permutation(m)
     test_mask = np.zeros(m, dtype=bool)
     test_mask[perm[:t]] = True
-    seed_int = rng_seed if isinstance(rng_seed, int) else None
-    return _split_rows(g.labels, edges[~test_mask], edges[test_mask], "holdout", seed_int,
-                       {"fraction": test_fraction})
+    return _split_rows(g.labels, edges[~test_mask], edges[test_mask])
 
 
 def split_temporal(edges: EdgeList, train_fraction: float) -> SplitDataset:
@@ -183,7 +171,7 @@ def split_temporal(edges: EdgeList, train_fraction: float) -> SplitDataset:
         raise DataError("temporal split would leave no test edges")
     train_rows = rows[first[:cut]]
     train_rows = train_rows[train_rows[:, 0] != train_rows[:, 1]]
-    return _split_rows(labels, train_rows, rows[first[cut:]], "temporal", None, {"fraction": train_fraction})
+    return _split_rows(labels, train_rows, rows[first[cut:]])
 
 
 def split_loeto(g: Graph, seed_edge: tuple[int, int]) -> SplitDataset:
@@ -198,12 +186,9 @@ def split_loeto(g: Graph, seed_edge: tuple[int, int]) -> SplitDataset:
     edges = g.edge_array()
     test_mask = np.zeros(len(edges), dtype=bool)
     test_mask[g.edge_ids([[u], [v]], wedge_nodes)] = True
-    lab = g.labels
     # A 2-node train component is a legal (if useless) outcome here; the
     # harness discards such trials rather than erroring.
-    return _split_rows(
-        lab, edges[~test_mask], edges[test_mask], "loeto", None, {"seed_edge": (lab[u], lab[v])}, min_nodes=2
-    )
+    return _split_rows(g.labels, edges[~test_mask], edges[test_mask], min_nodes=2)
 
 
 # ---------------------------------------------------------------------------
@@ -636,15 +621,15 @@ class PairwiseResult:
     metadata: dict
 
 
-def _eligible_seed_edges(split: SplitDataset, truth_mode: str) -> list[tuple[int, int]]:
-    """Train edges (in ``edge_array`` order) whose ground truth is nonempty,
+def _eligible_seed_edges(split: SplitDataset, truth_mode: str) -> np.ndarray:
+    """The rows of ``edge_array`` whose ground truth is nonempty, in order,
     found for all edges at once: summed over the pairs (X, Y) of
     :func:`_truth_graphs`, (X.adjacency @ Y.adjacency)[u, v] counts the
     nodes that :func:`ground_truth` lists for (u, v)."""
     edges = split.train.edge_array()
     u, v = edges.T
     count = sum((x.adjacency @ y.adjacency)[u, v] for x, y in _truth_graphs(split, truth_mode))
-    return [(a, b) for a, b in edges[np.asarray(count).ravel() > 0].tolist()]
+    return edges[np.asarray(count).ravel() > 0]
 
 
 def run_pairwise_experiment(
@@ -711,11 +696,13 @@ def run_pairwise_experiment(
     if protocol == "temporal":
         if not (isinstance(data, EdgeList) and data.has_timestamps):
             raise DataError("temporal protocol needs a timestamped edge list")
-        split = split_temporal(data, 0.7 if fraction is None else fraction)
+        fraction = 0.7 if fraction is None else fraction
+        split = split_temporal(data, fraction)
     else:
         g = data if isinstance(data, Graph) else largest_connected_component(build_graph(data))
         if protocol == "holdout":
-            split = split_holdout(g, 0.3 if fraction is None else fraction, children[0])
+            fraction = 0.3 if fraction is None else fraction
+            split = split_holdout(g, fraction, children[0])
 
     rule = CANDIDATE_RULES[truth_mode]
     details: list[TrialReport] = []
@@ -732,17 +719,14 @@ def run_pairwise_experiment(
             digests.append(ctx.digest())
 
     if protocol in ("holdout", "temporal"):
-        if allow_empty_truth:
-            eligible = [(int(u), int(v)) for u, v in split.train.edge_array()]
-        else:
-            eligible = _eligible_seed_edges(split, truth_mode)
-        if not eligible:
+        eligible = split.train.edge_array() if allow_empty_truth else _eligible_seed_edges(split, truth_mode)
+        if not len(eligible):
             raise DataError("no eligible seed edges in the training graph")
         shared = TrialContext(split.train, params)
         drawn = []
         for i in range(trials):
             rng = np.random.default_rng(children[i + 1])
-            u, v = eligible[rng.integers(len(eligible))]
+            u, v = eligible[rng.integers(len(eligible))].tolist()
             drawn.append(replace(shared, u=u, v=v, truth=ground_truth(split, (u, v), truth_mode)))
         score(drawn)
     else:  # loeto
@@ -777,7 +761,7 @@ def run_pairwise_experiment(
 
     metadata = {
         "protocol": protocol,
-        "fraction": split.meta.get("fraction") if protocol != "loeto" else None,
+        "fraction": fraction if protocol != "loeto" else None,
         "trials_requested": trials,
         "trials_completed": completed,
         "discards": discards,
@@ -794,7 +778,7 @@ def run_pairwise_experiment(
     if protocol != "loeto":
         metadata["train_nodes"] = split.train.n
         metadata["train_edges"] = split.train.m
-        metadata["test_edges"] = len(split.test_pairs)
+        metadata["test_edges"] = len(split.test_rows)
         metadata["unusable_test_edges"] = split.unusable_test_edges
     return PairwiseResult(summary=summary, details=details, metadata=metadata)
 
@@ -912,7 +896,7 @@ def run_standard_linkpred(
         "rng_seed": rng_seed,
         "train_nodes": train.n,
         "train_edges": train.m,
-        "test_edges": len(split.test_pairs),
+        "test_edges": len(split.test_rows),
         "unusable_test_edges": split.unusable_test_edges,
     }
     return LinkpredResult(nodes=rows, summary=summary, metadata=metadata)

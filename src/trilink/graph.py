@@ -281,12 +281,10 @@ def build_graph(edges: EdgeList | Iterable[tuple[Label, Label]]) -> Graph:
             raise DataError("edge list contains no usable edges")
         e, nodes = _first_appearance(e)
         labels = tuple(map(labels.__getitem__, nodes.tolist()))
-    n = len(labels)
-    keys = _sorted_unique(np.minimum(e[:, 0], e[:, 1]) * n + np.maximum(e[:, 0], e[:, 1]))
-    dups = len(e) - len(keys)
-    if loops or dups:
-        log.debug("build_graph removed %d self-loop(s), %d duplicate(s)", loops, dups)
-    return _from_index_pairs(np.column_stack([keys // n, keys % n]), labels)
+    g = _from_index_pairs(e, labels)
+    if loops or len(e) > g.m:
+        log.debug("build_graph removed %d self-loop(s), %d duplicate(s)", loops, len(e) - g.m)
+    return g
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -314,15 +312,24 @@ def _first_appearance(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _from_index_pairs(e: np.ndarray, labels: tuple[Label, ...]) -> Graph:
-    """CSR graph from an (m, 2) array of distinct undirected dense-index edges."""
+    """The simple graph on ``labels`` of (m, 2) dense-index rows in any
+    order: self-loop rows are dropped, repeated and reversed rows merged."""
     n = len(labels)
-    # Both directions of every edge as the key i * n + j; sorted, they list
-    # each row's neighbours in order, row after row.
+    # Both directions of every row as the key i * n + j; sorted, they list
+    # each row's neighbours in order, row after row, each repeat after its
+    # first. The ends are decoded into the keys' buffer, to hold less.
     keys = np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]])
     keys.sort()
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    rows = keys // n
+    cols = np.remainder(keys, n, out=keys)
+    keep &= rows != cols
+    if not keep.all():
+        rows, cols = rows[keep], cols[keep]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    return Graph(indptr=indptr, indices=keys % n, labels=labels)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return Graph(indptr=indptr, indices=cols, labels=labels)
 
 
 def to_edge_list(g: Graph) -> EdgeList:

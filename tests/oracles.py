@@ -241,7 +241,7 @@ def auc_pairs(values: np.ndarray, positives, candidates) -> float:
 # -- splits -------------------------------------------------------------------
 
 
-def pack_split(labels, train: Graph, test_pairs, protocol, rng_seed=None, meta=None) -> SplitDataset:
+def pack_split(labels, train: Graph, test_pairs) -> SplitDataset:
     """A split of the input labels ``labels`` from its train graph and its
     held-out label pairs, each label mapped to its input index through a
     dict."""
@@ -250,10 +250,10 @@ def pack_split(labels, train: Graph, test_pairs, protocol, rng_seed=None, meta=N
     to_train = np.full(len(labels), -1, dtype=np.int64)
     for i, w in enumerate(train.labels):
         to_train[index[w]] = i
-    return SplitDataset(train, tuple(labels), test_rows, to_train, protocol, rng_seed, meta or {})
+    return SplitDataset(train, tuple(labels), test_rows, to_train)
 
 
-def _label_pair_split(g: Graph, held_out, protocol, rng_seed, meta) -> SplitDataset:
+def _label_pair_split(g: Graph, held_out) -> SplitDataset:
     """Train graph rebuilt from original-label pairs: build_graph, then the
     largest component. ``held_out`` is a set of dense (u < v) edges."""
     train_pairs, test_pairs = [], []
@@ -261,7 +261,7 @@ def _label_pair_split(g: Graph, held_out, protocol, rng_seed, meta) -> SplitData
         pair = (g.labels[u], g.labels[v])
         (test_pairs if (u, v) in held_out else train_pairs).append(pair)
     train = largest_connected_component(build_graph(EdgeList(tuple(train_pairs))))
-    return pack_split(g.labels, train, test_pairs, protocol, rng_seed, meta)
+    return pack_split(g.labels, train, test_pairs)
 
 
 def holdout_split(g: Graph, fraction: float, rng_seed: int) -> SplitDataset:
@@ -270,7 +270,7 @@ def holdout_split(g: Graph, fraction: float, rng_seed: int) -> SplitDataset:
     t = max(1, round(fraction * len(edges)))
     perm = np.random.default_rng(rng_seed).permutation(len(edges))
     held_out = {tuple(edges[i]) for i in perm[:t]}
-    return _label_pair_split(g, held_out, "holdout", rng_seed, {"fraction": fraction})
+    return _label_pair_split(g, held_out)
 
 
 def loeto_split(g: Graph, u: int, v: int) -> SplitDataset:
@@ -280,7 +280,7 @@ def loeto_split(g: Graph, u: int, v: int) -> SplitDataset:
     held_out = set()
     for w in nb[u] & nb[v]:
         held_out |= {(min(u, w), max(u, w)), (min(v, w), max(v, w))}
-    return _label_pair_split(g, held_out, "loeto", None, {"seed_edge": (g.labels[u], g.labels[v])})
+    return _label_pair_split(g, held_out)
 
 
 def temporal_split(edges: EdgeList, train_fraction: float) -> SplitDataset:
@@ -306,7 +306,7 @@ def temporal_split(edges: EdgeList, train_fraction: float) -> SplitDataset:
     train = largest_connected_component(build_graph(EdgeList(tuple(train_pairs))))
     if train.n < 3:
         raise DataError(f"train component too small ({train.n} nodes)")
-    return pack_split(edges.labels, train, test_pairs, "temporal", None, {"fraction": train_fraction})
+    return pack_split(edges.labels, train, test_pairs)
 
 
 def truth_oracle(split: SplitDataset, seed_edge: tuple[int, int], truth_mode: str) -> frozenset[int]:

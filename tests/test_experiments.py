@@ -192,7 +192,6 @@ def assert_same_split(got, want):
     assert got.train.labels == want.train.labels
     assert got.test_pairs == want.test_pairs
     assert np.array_equal(got.test_rows, want.test_rows) and np.array_equal(got.to_train, want.to_train)
-    assert (got.protocol, got.rng_seed, got.meta) == (want.protocol, want.rng_seed, want.meta)
     assert got.unusable_test_edges == want.unusable_test_edges
 
 
@@ -298,7 +297,7 @@ def test_loeto_derives_triangles_only_when_a_method_reads_them(monkeypatch):
 def holdout_like_split(train_pairs, test_pairs):
     train = largest_connected_component(build_graph(EdgeList(tuple(train_pairs))))
     labels = tuple(dict.fromkeys(w for pair in [*train_pairs, *test_pairs] for w in pair))
-    return oracles.pack_split(labels, train, test_pairs, "holdout")
+    return oracles.pack_split(labels, train, test_pairs)
 
 
 def test_ground_truth_and_mode():
@@ -329,7 +328,7 @@ def test_eligible_seed_edges_equal_the_per_edge_ground_truth():
     for split in _eligibility_splits():
         for mode in ("and", "or"):
             want = [(u, v) for u, v in split.train.edge_array().tolist() if ground_truth(split, (u, v), mode)]
-            assert want and _eligible_seed_edges(split, mode) == want
+            assert want and [tuple(r) for r in _eligible_seed_edges(split, mode).tolist()] == want
 
 
 def _eligibility_splits() -> list:
@@ -344,7 +343,7 @@ def test_truth_nodes_are_candidates_under_the_modes_rule():
     # eligible seed edge, it strikes none of that edge's truth nodes.
     for split in _eligibility_splits():
         for mode, rule in CANDIDATE_RULES.items():
-            for u, v in _eligible_seed_edges(split, mode):
+            for u, v in _eligible_seed_edges(split, mode).tolist():
                 truth = ground_truth(split, (u, v), mode)
                 assert truth <= set(candidate_nodes(split.train, u, v, rule).tolist()), (mode, u, v)
 
@@ -380,7 +379,7 @@ def test_ground_truth_and_eligible_seed_edges_match_the_set_algebra_oracle():
         for mode in ("and", "or"):
             want = {e: oracles.truth_oracle(split, e, mode) for e in edges + others}
             assert {e: ground_truth(split, e, mode) for e in want} == want
-            assert _eligible_seed_edges(split, mode) == [e for e in edges if want[e]]
+            assert [tuple(r) for r in _eligible_seed_edges(split, mode).tolist()] == [e for e in edges if want[e]]
 
 
 @pytest.mark.parametrize("mode", ["and", "or"])
@@ -1095,7 +1094,7 @@ def _declared_context_fields(registry: str, train, split) -> dict:
     # A holdout trial's seed edge (pairwise) or the top-degree cohort node
     # with held-out partners (linkpred).
     if registry == "pairwise":
-        u, v = _eligible_seed_edges(split, "and")[0]
+        u, v = _eligible_seed_edges(split, "and")[0].tolist()
         return dict(u=u, v=v, truth=ground_truth(split, (u, v), "and"), candidates=candidate_nodes(train, u, v, "either"))
     node = next(int(i) for i in np.argsort(-train.degrees, kind="stable") if split.test_graph.degree(i))
     return dict(u=node, v=node, node=node, truth=frozenset(split.test_graph.neighbors(node).tolist()))

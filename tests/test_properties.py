@@ -1,6 +1,7 @@
 """Property tests for the identities the fast paths rely on: the tensor
-contraction, the splits built from index rows (the temporal one against
-its reference loop), the loeto triangles taken from the
+contraction, the graph built from index rows against its set of pairs, the
+splits built from index rows (the temporal one against its reference loop),
+the loeto triangles taken from the
 parent's list, the O(n) rank count, pair-seed linearity, edge-list labels
 surviving a round trip through a graph, and the numpy rank statistics and
 largest component agreeing with scipy bit for bit.
@@ -37,6 +38,7 @@ from trilink import (
 )
 from trilink.diffusion import SEED_KINDS, _ranks, rank_stability
 from trilink.experiments import _best_truth_rank
+from trilink.graph import _from_index_pairs
 from trilink.triangles import subgraph_triangles, triangles_per_edge
 
 import oracles
@@ -197,6 +199,33 @@ def test_pair_seed_is_the_mean_of_its_single_seeds(g, data):
     pair = pair_seeded_pagerank(g, u, v)
     mean = (single_seeded_pagerank(g, u) + single_seeded_pagerank(g, v)) / 2.0
     assert np.abs(pair - mean).max() <= 1e-12
+
+
+@st.composite
+def index_rows(draw):
+    """(k, 2) int64 rows on a few nodes, in any order: self-loop rows and
+    repeats come often, a reversed copy of some rows is mixed in, and up to
+    three more labels are used by no row."""
+    n = draw(st.integers(1, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30))
+    if pairs:
+        pairs += [(v, u) for u, v in draw(st.lists(st.sampled_from(pairs), max_size=10))]
+    rows = np.array(draw(st.permutations(pairs)), dtype=np.int64).reshape(-1, 2)
+    return rows, tuple(f"v{i}" for i in range(n + draw(st.integers(0, 3))))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(index_rows())
+@example((np.array([[2, 1], [0, 0], [1, 2], [2, 1], [3, 3], [0, 2]]), ("a", "b", "c", "d", "e")))
+def test_graph_from_index_rows_is_the_simple_graph_of_their_pairs(case):
+    rows, labels = case
+    want = {frozenset(r) for r in rows.tolist() if r[0] != r[1]}
+    g = _from_index_pairs(rows, labels)
+    assert g.labels == labels and g.indptr.dtype == g.indices.dtype == np.int64
+    assert g.indptr[0] == 0 and g.indptr[-1] == len(g.indices) == 2 * len(want)
+    for i in range(g.n):
+        # Each neighbour list is the sorted other ends of i's pairs.
+        assert g.neighbors(i).tolist() == sorted(j for p in want if i in p for j in p if j != i)
 
 
 # int() reads 1, 01 and +1 as one number, and 10 and 1_0 as another; each must
