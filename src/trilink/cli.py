@@ -182,12 +182,8 @@ def _load_graph(args):
 
 def cmd_pairwise(args) -> int:
     params = DiffusionParams(alpha=args.alpha, iterations=args.iterations)
-    if args.protocol == "temporal":
-        data = load_edge_list(args.input, has_timestamps=True)
-    else:
-        data = _load_graph(args)
     result = run_pairwise_experiment(
-        data,
+        load_edge_list(args.input, args.timestamps or args.protocol == "temporal"),
         args.protocol,
         _csv_strs(args.methods),
         k_values=_csv_ints(args.k),
@@ -231,8 +227,8 @@ def cmd_linkpred(args) -> int:
 def cmd_diagnose(args) -> int:
     if args.max_iters < 0:
         raise ValueError("max_iters must be >= 0")
-    if args.top_k < 1:
-        raise ValueError("top_k must be >= 1")
+    if args.top_k < 2:
+        raise ValueError("top_k must be >= 2: a top-1 union may be one node, which has no rank correlation")
     params = DiffusionParams(alpha=args.alpha, iterations=args.iterations)
     g = _load_graph(args)
     ts = enumerate_triangles(g)

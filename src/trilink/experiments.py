@@ -10,17 +10,17 @@ out of it as unusable and places loeto's seed edge and triangles in train.
 
 Both harnesses score methods the same way: a method is a ``(name, fn)``
 pair, and ``fn`` maps a :class:`TrialContext` to one float score per train
-node. The built-ins are two tables, ``PAIRWISE_METHODS`` and
-``LINKPRED_METHODS``. A PageRank built-in is the nodes whose single-seed
-vectors it reads plus a step that combines those vectors; ``pairseed``, for
-one, is ½(x_u + x_v), which by linearity in the seed is the pair-seed
-solution, and it carries those nodes as ``fn.seeds``. Every context on one
-train graph shares a cache that lists the triangles once and solves each
-node's single-seed PageRank vector once. Both harnesses build the contexts
-of one train graph and score them through one loop, ``_score_contexts``,
-whose docstring states what it solves when and what it drops. A loeto
-trial takes its triangles from the parent graph's list (enumerated once per
-run), and only when a method reads them.
+node; its ``truth`` is a read-only sorted int64 array. The built-ins are two
+tables, ``PAIRWISE_METHODS`` and ``LINKPRED_METHODS``. A PageRank built-in
+is the nodes whose single-seed vectors it reads plus a step that combines
+those vectors; ``pairseed``, for one, is ½(x_u + x_v), which by linearity in
+the seed is the pair-seed solution, and it carries those nodes as
+``fn.seeds``. Every context on one train graph shares a cache that lists the
+triangles once and solves each node's single-seed PageRank vector once. Both
+harnesses build the contexts of one train graph and score them through one
+loop, ``_score_contexts``, whose docstring states what it solves when and
+what it drops. A loeto trial takes its triangles from the parent graph's
+list (enumerated once per run), and only when a method reads them.
 """
 
 from __future__ import annotations
@@ -216,17 +216,16 @@ def _truth_graphs(split: SplitDataset, truth_mode: str) -> tuple[tuple[Graph, Gr
     return {"and": ((test, test),), "or": ((test, train), (train, test))}[truth_mode]
 
 
-def ground_truth(split: SplitDataset, seed_edge: tuple[int, int], truth_mode: str) -> frozenset[int]:
+def ground_truth(split: SplitDataset, seed_edge: tuple[int, int], truth_mode: str) -> np.ndarray:
     """Nodes (train indices) that complete a triangle with the seed edge
-    under ``truth_mode``, 'and' or 'or' (see :func:`_truth_graphs`). Neither
-    graph has a self-loop, so the seed endpoints are never truth. Raises
-    IndexError for a seed node outside the train graph."""
+    under ``truth_mode``, 'and' or 'or' (see :func:`_truth_graphs`), as a
+    read-only sorted int64 array. Neither graph has a self-loop, so the seed
+    endpoints are never truth. IndexError for a seed node outside train."""
     u, v = seed_edge
-    return frozenset(
-        w
-        for x, y in _truth_graphs(split, truth_mode)
-        for w in np.intersect1d(x.neighbors(u), y.neighbors(v), assume_unique=True).tolist()
-    )
+    truth = np.sort(np.concatenate([np.intersect1d(x.neighbors(u), y.neighbors(v), assume_unique=True)
+                                    for x, y in _truth_graphs(split, truth_mode)]))
+    truth.setflags(write=False)
+    return truth
 
 
 def candidate_nodes(train: Graph, u: int, v: int, rule: str) -> np.ndarray:
@@ -247,11 +246,12 @@ def candidate_nodes(train: Graph, u: int, v: int, rule: str) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def _best_truth_rank(values: np.ndarray, candidates: np.ndarray, truth: frozenset[int]) -> int:
+def _best_truth_rank(values: np.ndarray, candidates: np.ndarray, truth: np.ndarray) -> int:
     """1-based rank (within candidates, score descending, index ascending) of
     the best ground-truth node, or -1 if none is rankable."""
     s = values[candidates]
-    is_truth = np.isin(candidates, np.fromiter(truth, dtype=np.int64, count=len(truth)))
+    # kind="table" takes only integer arrays, so a Python set raises instead of matching nothing.
+    is_truth = np.isin(candidates, truth, kind="table")
     if not is_truth.any():
         return -1
     # Count what sorts ahead of the best truth node: higher scores, and
@@ -279,7 +279,7 @@ def auc(scores: np.ndarray, positives: Iterable[int], candidates: np.ndarray) ->
     if scores.ndim != 1:
         raise ValueError(f"scores must be 1-D, got shape {scores.shape}")
     candidates = np.asarray(candidates, dtype=np.int64)
-    pos = np.asarray(sorted(set(int(p) for p in positives)), dtype=np.int64)
+    pos = np.unique(np.fromiter(positives, dtype=np.int64))
     if len(pos) == 0:
         raise ValueError("no positive examples")
     is_pos = np.isin(candidates, pos)
@@ -302,27 +302,26 @@ def auc(scores: np.ndarray, positives: Iterable[int], candidates: np.ndarray) ->
 
 @dataclass(eq=False)
 class TrialContext:
-    """Everything a method may look at when it scores one trial. Pairwise
-    trials fill the seed edge ``u``, ``v``; linkpred trials fill ``node``,
-    and ``u`` = ``v`` = ``node``. ``truth`` holds the ground-truth nodes
-    (linkpred: the node's held-out partners) and ``candidates`` the rankable
-    nodes. All methods in a trial receive the same context, and all contexts
-    on one train graph share ``cache``, so its triangles, single-seed vectors
-    and maxima are computed once. How long a vector stays cached is stated
-    by ``_score_contexts``; a vector solved for :meth:`maxima` is dropped
-    once it is folded in. When ``cache`` holds ``"parent"``, a pair of the
-    triangles of a graph that ``train`` is a subgraph of and the map from its
-    node indices to ``train``'s (a split's ``to_train``), the triangles are
-    taken from that list instead of being enumerated."""
+    """Everything a method may look at when it scores one trial: the seed
+    ``u``, ``v`` (linkpred: ``u`` = ``v``, the scored node), the rankable
+    ``candidates``, and ``truth``, the ground-truth nodes (linkpred: the
+    node's held-out partners) as a read-only sorted int64 array. All methods
+    in a trial receive the same context, and all contexts on one train graph
+    share ``cache``, so its triangles, single-seed vectors and maxima are
+    computed once. How long a vector stays cached is stated by
+    ``_score_contexts``; a vector solved for :meth:`maxima` is dropped once it
+    is folded in. When ``cache`` holds ``"parent"``, a pair of the triangles
+    of a graph that ``train`` is a subgraph of and the map from its node
+    indices to ``train``'s (a split's ``to_train``), the triangles are taken
+    from that list instead of being enumerated."""
 
     train: Graph
     params: DiffusionParams
     cache: dict = field(default_factory=dict)
     candidates: np.ndarray | None = None
-    truth: frozenset[int] = frozenset()
+    truth: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     u: int | None = None
     v: int | None = None
-    node: int | None = None
 
     @property
     def triangles(self) -> TriangleSet:
@@ -394,17 +393,15 @@ class TrialContext:
         return pagerank_many(self.train, seeds, self.params)
 
     def digest(self) -> str:
-        h = hashlib.sha256()
         payload = (
             self.train.n,
             self.train.m,
             int(self.u),
             int(self.v),
             tuple(self.candidates.tolist()),
-            tuple(sorted(int(t) for t in self.truth)),
+            tuple(self.truth.tolist()),
         )
-        h.update(repr(payload).encode())
-        return h.hexdigest()
+        return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
 Method = Callable[[TrialContext], np.ndarray]
@@ -452,7 +449,7 @@ def _oracle(score: float) -> Method:
 
     def fn(ctx: TrialContext) -> np.ndarray:
         vals = np.zeros(ctx.train.n)
-        vals[list(ctx.truth)] = score
+        vals[ctx.truth] = score
         return vals
 
     return fn
@@ -467,11 +464,11 @@ def _endpoints(ctx: TrialContext) -> list[int]:
 
 
 def _node(ctx: TrialContext) -> list[int]:
-    return [ctx.node]
+    return [ctx.u]
 
 
 def _neighbours(ctx: TrialContext) -> list[int]:
-    return ctx.train.neighbors(ctx.node).tolist()
+    return ctx.train.neighbors(ctx.u).tolist()
 
 
 # sum aggregates the pair-seed vectors of node i's edges, which by linearity
@@ -505,13 +502,13 @@ LINKPRED_METHODS: dict[str, Method] = {
     "max": _pagerank_method(_node, lambda x_i, m: (x_i + m) / 2.0, maxed=_neighbours),
     "max-singles": _pagerank_method(_node, np.maximum, maxed=_neighbours),
     "star": _single,
-    "trpr": _trpr_method(lambda ctx: ("star", ctx.node)),
+    "trpr": _trpr_method(lambda ctx: ("star", ctx.u)),
     "oracle": _oracle(1.0),
 }
 
 
 def _score_contexts(named: list[tuple[str, Method]], contexts: Sequence[TrialContext], rule: str,
-                    metric: Callable[[np.ndarray, np.ndarray, frozenset[int]], float]):
+                    metric: Callable[[np.ndarray, np.ndarray, np.ndarray], float]):
     """Score ``contexts``, which share one train graph and cache, in order.
     Yield each context with its candidates, ``candidate_nodes(train, u, v,
     rule)``, and ``metric(scores, candidates, truth)`` of each method, by
@@ -534,10 +531,10 @@ def _score_contexts(named: list[tuple[str, Method]], contexts: Sequence[TrialCon
     fns: dict[Method, list[str]] = {}
     for name, fn in named:
         fns.setdefault(fn, []).append(name)
-    declared = [[i for fn in fns if hasattr(fn, "seeds") for i in fn.seeds(ctx)] if ctx.truth else []
+    declared = [[i for fn in fns if hasattr(fn, "seeds") for i in fn.seeds(ctx)] if len(ctx.truth) else []
                 for ctx in contexts]
     last = {i: c for c, seeds in enumerate(declared) for i in seeds}  # keys in first-use order
-    groups = [fn.maxed(ctx) for ctx in contexts if ctx.truth for fn in fns if hasattr(fn, "maxed")]
+    groups = [fn.maxed(ctx) for ctx in contexts if len(ctx.truth) for fn in fns if hasattr(fn, "maxed")]
     if groups:
         grouped = {j for group in groups for j in group}
         contexts[0].singles(i for i in last if i in grouped)
@@ -549,7 +546,7 @@ def _score_contexts(named: list[tuple[str, Method]], contexts: Sequence[TrialCon
         while any(i not in cache for i in declared[c]):
             ctx.singles(islice((i for i in unsolved if i not in cache), _block_width(ctx.train.n)))
         values = {}
-        if ctx.truth:
+        if len(ctx.truth):
             for fn, names in fns.items():
                 value = metric(_method_output(names[0], fn(ctx), ctx.train.n), ctx.candidates, ctx.truth)
                 values.update(dict.fromkeys(names, value))
@@ -675,6 +672,8 @@ def run_pairwise_experiment(
         raise ValueError("trials must be >= 1")
     if protocol not in ("holdout", "temporal", "loeto"):
         raise ValueError(f"unknown protocol {protocol!r}")
+    if truth_mode not in CANDIDATE_RULES:
+        raise ValueError("truth_mode must be 'and' or 'or'")
     if protocol == "loeto" and truth_mode == "or":
         raise ValueError(
             "loeto holds out both wedge edges of every triangle on the seed edge, "
@@ -703,6 +702,7 @@ def run_pairwise_experiment(
         if protocol == "holdout":
             fraction = 0.3 if fraction is None else fraction
             split = split_holdout(g, fraction, children[0])
+    del data  # the parsed edge list is not read again: free it before the trials
 
     rule = CANDIDATE_RULES[truth_mode]
     details: list[TrialReport] = []
@@ -740,7 +740,7 @@ def run_pairwise_experiment(
                 u, v = seeds[rng.integers(len(seeds))].tolist()
                 lsplit = split_loeto(g, (u, v))
                 tu, tv = lsplit.to_train[[u, v]].tolist()
-                if tu >= 0 and tv >= 0 and (truth := ground_truth(lsplit, (tu, tv), truth_mode)):
+                if tu >= 0 and tv >= 0 and len(truth := ground_truth(lsplit, (tu, tv), truth_mode)):
                     break
                 discards += 1
                 del lsplit  # before the next split is built
@@ -854,9 +854,9 @@ def run_standard_linkpred(
     for i in cohort:
         # The candidates, i's non-neighbours other than i, are listed when
         # i is scored; here only their count is needed.
-        positives = frozenset(split.test_graph.neighbors(i).tolist())
-        if positives and len(positives) < train.n - 1 - train.degree(i):
-            contexts.append(replace(basis, u=i, v=i, node=i, truth=positives))
+        positives = split.test_graph.neighbors(i)
+        if 0 < len(positives) < train.n - 1 - train.degree(i):
+            contexts.append(replace(basis, u=i, v=i, truth=positives))
     if not contexts:
         raise DataError(f"no cohort node has both held-out partners and negatives ({len(cohort)} skipped)")
     skipped = len(cohort) - len(contexts)
@@ -864,7 +864,7 @@ def run_standard_linkpred(
     per_method: dict[str, list[float]] = {name: [] for name, _ in named}
     baseline_aucs: list[float] = []
     for ctx, values in _score_contexts(named, contexts, "either", lambda x, cands, truth: auc(x, truth, cands)):
-        i = ctx.node
+        i = ctx.u
         baseline_aucs.append(values[LINKPRED_BASELINE])
         for name, _ in named:
             rows.append(LinkpredNodeRow(train.labels[i], train.degree(i), name, values[name]))

@@ -221,7 +221,7 @@ def test_metric_oracles_and_monotonicity():
             int(t) for t in rng.choice(cands, size=int(rng.integers(1, len(cands) + 1)), replace=False)
         )
         k = int(rng.integers(1, 30))
-        best = _best_truth_rank(values, cands, truth)
+        best = _best_truth_rank(values, cands, np.array(sorted(truth), dtype=np.int64))
         want_best, want_hit = oracles.sp_oracle(values, cands, truth, k)
         assert (best, int(0 < best <= k)) == (want_best, want_hit)
         if 0 < len(truth) < len(cands):
@@ -233,7 +233,8 @@ def test_metric_oracles_and_monotonicity():
         values = rng.choice([-np.inf, 0.25, 0.5, np.inf], size=n)
         cands = rng.permutation(n)[: int(rng.integers(2, n + 1))]
         truth = frozenset(int(t) for t in rng.choice(cands, size=int(rng.integers(1, 8)), replace=False))
-        assert _best_truth_rank(values, cands, truth) == oracles.sp_oracle(values, cands, truth, 1)[0]
+        best = _best_truth_rank(values, cands, np.array(sorted(truth), dtype=np.int64))
+        assert best == oracles.sp_oracle(values, cands, truth, 1)[0]
     # monotonicity on a real experiment output
     g = generate_gpa(GpaParams(p_edge=0.6, steps=500, rng_seed=14))
     res = run_pairwise_experiment(

@@ -285,8 +285,8 @@ def test_exit_codes(tmp_path, gpa_file):
     assert main(["diagnose", "--input", str(gpa_file), "--max-iters", "-3",
                  "--out-dir", str(out)]) == 3
     assert not out.exists()
-    # invalid value: diagnose top-k below 1, rejected before any work
-    for top_k in ("0", "-5"):
+    # invalid value: diagnose top-k below 2, rejected before any work
+    for top_k in ("0", "-5", "1"):
         out = tmp_path / f"top{top_k}"
         assert main(["diagnose", "--input", str(gpa_file), "--top-k", top_k,
                      "--out-dir", str(out)]) == 3
@@ -306,6 +306,7 @@ def test_exit_codes(tmp_path, gpa_file):
     (["pairwise", "--trials", "3", "--protocol", "loeto", "--truth-mode", "or"], "'or' truth"),
     (["pairwise", "--trials", "3", "--protocol", "loeto", "--allow-empty-truth"], "empty truth"),
     (["pairwise", "--trials", "3", "--k", "0,5"], "k must be >= 1"),
+    (["diagnose", "--top-k", "1"], "top_k must be >= 2"),
 ])
 def test_bad_cohort_methods_and_k_values_write_nothing(gpa_file, tmp_path, capsys, argv, offender):
     out = tmp_path / "out"

@@ -60,6 +60,22 @@ def test_policy_validation_and_rule():
         run_pairwise_experiment(small_gpa(steps=100), "holdout", ["pairseed"], k_values=(0, 5), trials=3)
 
 
+@pytest.mark.parametrize("protocol", ["holdout", "temporal", "loeto"])
+def test_harness_refuses_an_unknown_truth_mode_before_it_splits(protocol, monkeypatch):
+    import trilink.experiments as ex
+
+    def no_split(*args):
+        raise AssertionError("split before the truth mode was checked")
+
+    for name in ("split_holdout", "split_temporal", "split_loeto", "build_graph"):
+        monkeypatch.setattr(ex, name, no_split)
+    g = small_gpa(steps=100)
+    pairs = tuple((g.labels[u], g.labels[v]) for u, v in g.edge_array().tolist())
+    data = EdgeList(pairs, tuple(range(len(pairs)))) if protocol == "temporal" else g
+    with pytest.raises(ValueError, match="truth_mode must be 'and' or 'or'"):
+        run_pairwise_experiment(data, protocol, ["pairseed"], trials=3, truth_mode="xor")
+
+
 # --- splits ------------------------------------------------------------------
 
 
@@ -159,7 +175,7 @@ def test_loeto_k4(k4):
     assert set(split.train.labels) == {1, 2}
     # the wedge nodes fell out of the train component: trial is invalid
     tr_ix = split.train.label_index
-    assert ground_truth(split, (tr_ix[1], tr_ix[2]), "and") == frozenset()
+    assert ground_truth(split, (tr_ix[1], tr_ix[2]), "and").tolist() == []
 
 
 def test_loeto_triangle_discard(triangle_pendant):
@@ -304,21 +320,21 @@ def test_ground_truth_and_mode():
     split = holdout_like_split([(1, 2), (2, 3), (3, 4)], [(1, 4), (2, 4)])
     ix = split.train.label_index
     got = ground_truth(split, (ix[1], ix[2]), "and")
-    assert got == frozenset({ix[4]})
+    assert got.tolist() == [ix[4]]
 
 
 def test_ground_truth_or_mode():
     split = holdout_like_split([(1, 2), (2, 4), (4, 3)], [(1, 4)])
     ix = split.train.label_index
-    assert ground_truth(split, (ix[1], ix[2]), "or") == frozenset({ix[4]})
-    assert ground_truth(split, (ix[1], ix[2]), "and") == frozenset()
+    assert ground_truth(split, (ix[1], ix[2]), "or").tolist() == [ix[4]]
+    assert ground_truth(split, (ix[1], ix[2]), "and").tolist() == []
 
 
 def test_ground_truth_or_requires_other_edge_in_train():
     split = holdout_like_split([(1, 2), (2, 3), (3, 4)], [(1, 4)])
     ix = split.train.label_index
     # (2,4) is neither in train nor test
-    assert ground_truth(split, (ix[1], ix[2]), "or") == frozenset()
+    assert ground_truth(split, (ix[1], ix[2]), "or").tolist() == []
 
 
 def test_eligible_seed_edges_equal_the_per_edge_ground_truth():
@@ -327,7 +343,7 @@ def test_eligible_seed_edges_equal_the_per_edge_ground_truth():
     # holds out a self-loop record, which ground truth never counts.
     for split in _eligibility_splits():
         for mode in ("and", "or"):
-            want = [(u, v) for u, v in split.train.edge_array().tolist() if ground_truth(split, (u, v), mode)]
+            want = [(u, v) for u, v in split.train.edge_array().tolist() if len(ground_truth(split, (u, v), mode))]
             assert want and [tuple(r) for r in _eligible_seed_edges(split, mode).tolist()] == want
 
 
@@ -345,7 +361,7 @@ def test_truth_nodes_are_candidates_under_the_modes_rule():
         for mode, rule in CANDIDATE_RULES.items():
             for u, v in _eligible_seed_edges(split, mode).tolist():
                 truth = ground_truth(split, (u, v), mode)
-                assert truth <= set(candidate_nodes(split.train, u, v, rule).tolist()), (mode, u, v)
+                assert set(truth.tolist()) <= set(candidate_nodes(split.train, u, v, rule).tolist()), (mode, u, v)
 
 
 def _truth_oracle_splits() -> list:
@@ -378,8 +394,22 @@ def test_ground_truth_and_eligible_seed_edges_match_the_set_algebra_oracle():
         others = [tuple(rng.choice(train.n, 2, replace=False).tolist()) for _ in range(10)]
         for mode in ("and", "or"):
             want = {e: oracles.truth_oracle(split, e, mode) for e in edges + others}
-            assert {e: ground_truth(split, e, mode) for e in want} == want
+            assert {e: ground_truth(split, e, mode).tolist() for e in want} == {e: sorted(t) for e, t in want.items()}
             assert [tuple(r) for r in _eligible_seed_edges(split, mode).tolist()] == [e for e in edges if want[e]]
+
+
+@pytest.mark.parametrize("mode", ["and", "or"])
+def test_ground_truth_is_a_read_only_sorted_int64_array(mode):
+    # Sorted and without repeats across both pairs of 'or' truth, and
+    # read-only, so a method that writes to ctx.truth fails loudly.
+    lengths = []
+    for split in _truth_oracle_splits():
+        for u, v in split.train.edge_array().tolist():
+            truth = ground_truth(split, (u, v), mode)
+            assert truth.dtype == np.int64 and truth.ndim == 1 and not truth.flags.writeable
+            assert np.all(np.diff(truth) > 0)
+            lengths.append(len(truth))
+    assert max(lengths) >= 2 and min(lengths) == 0
 
 
 @pytest.mark.parametrize("mode", ["and", "or"])
@@ -454,7 +484,7 @@ def test_scoring_functions_return_plain_arrays():
     }
     truth = ground_truth(split, (u, v), "and")
     cands = candidate_nodes(g, u, v, CANDIDATE_RULES["and"])
-    assert truth == {g.label_index[5]} and len(cands) == 3
+    assert truth.tolist() == [g.label_index[5]] and len(cands) == 3
     for name, x in outs.items():
         assert type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (g.n,), name
         assert _best_truth_rank(x, cands, truth) >= 1, name
@@ -501,7 +531,7 @@ def test_sp_matches_oracle_random():
         cands = np.array(sorted(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)))
         truth = frozenset(int(x) for x in rng.choice(cands, size=int(rng.integers(1, len(cands) + 1)), replace=False))
         k = int(rng.integers(1, 8))
-        best = _best_truth_rank(values, cands, truth)
+        best = _best_truth_rank(values, cands, np.array(sorted(truth), dtype=np.int64))
         want_best, want_hit = oracles.sp_oracle(values, cands, truth, k)
         assert best == want_best
         assert int(0 < best <= k) == want_hit
@@ -510,7 +540,15 @@ def test_sp_matches_oracle_random():
 def test_sp_tie_break_ascending_index():
     values = np.array([0.5, 0.5, 0.5, 0.5])
     cands = np.array([0, 1, 2, 3])
-    assert _best_truth_rank(values, cands, frozenset({2})) == 3
+    assert _best_truth_rank(values, cands, np.array([2])) == 3
+
+
+def test_best_truth_rank_refuses_a_python_set():
+    # np.isin reads a set as one object and would find no truth: best rank -1.
+    values, cands = np.array([0.5, 0.5, 0.5, 0.5]), np.array([0, 1, 2, 3])
+    for truth in ({2}, frozenset({2})):
+        with pytest.raises(ValueError, match="integer arrays"):
+            _best_truth_rank(values, cands, truth)
 
 
 def test_auc_examples():
@@ -658,7 +696,7 @@ def test_linkpred_identical_method_zero_distance():
     g = small_gpa(steps=400)
 
     def clone_baseline(ctx):
-        return ctx.singles([ctx.node])[ctx.node]
+        return ctx.singles([ctx.u])[ctx.u]
 
     res = run_standard_linkpred(
         g, num_nodes=10, methods=["single", ("clone", clone_baseline)], rng_seed=4
@@ -673,7 +711,7 @@ def test_linkpred_custom_baseline_is_not_doubled():
     g = small_gpa(steps=400)
 
     def clone_baseline(ctx):
-        return ctx.singles([ctx.node])[ctx.node]
+        return ctx.singles([ctx.u])[ctx.u]
 
     res = run_standard_linkpred(g, num_nodes=10, methods=[("single", clone_baseline), "oracle"], rng_seed=4)
     ref = run_standard_linkpred(g, num_nodes=10, methods=["single", "oracle"], rng_seed=4)
@@ -739,7 +777,7 @@ def test_linkpred_solves_each_column_once(monkeypatch):
     assert lone == []
 
     train = seen["single"][0][0].train
-    scored = [ctx.node for ctx, _ in seen["single"]]
+    scored = [ctx.u for ctx, _ in seen["single"]]
     cohort = np.lexsort((np.arange(train.n), -train.degrees))[:30]
     assert len(cohort) - len(scored) == res.metadata["nodes_skipped_no_positives"]
 
@@ -757,26 +795,26 @@ def test_linkpred_solves_each_column_once(monkeypatch):
     assert not any(isinstance(key, int) for key in cache)
 
     for name in ("max", "max-singles"):
-        assert [ctx.node for ctx, _ in seen[name]] == scored
+        assert [ctx.u for ctx, _ in seen[name]] == scored
         for ctx, vals in seen[name]:
-            x_i = pagerank(train, make_seed(train, "single", ctx.node))
-            x_nbrs = [pagerank(train, make_seed(train, "single", j)) for j in train.neighbors(ctx.node)]
+            x_i = pagerank(train, make_seed(train, "single", ctx.u))
+            x_nbrs = [pagerank(train, make_seed(train, "single", j)) for j in train.neighbors(ctx.u)]
             if name == "max":
                 want = np.maximum.reduce([(x_i + x_j) / 2.0 for x_j in x_nbrs])
             else:
                 want = np.maximum.reduce([x_i, *x_nbrs])
             assert np.array_equal(vals, want)
-            lazy = LINKPRED_METHODS[name](TrialContext(train, ctx.params, node=ctx.node))
+            lazy = LINKPRED_METHODS[name](TrialContext(train, ctx.params, u=ctx.u, v=ctx.u))
             assert np.array_equal(vals, lazy)
     reported = {(r.node, r.method): r.auc for r in res.nodes}
     seeds = {"star": lambda i: make_seed(train, "star", i),
              "sum": lambda i: oracles.weighted_star_seed(train, i)}
     for name, seed in seeds.items():
-        assert [ctx.node for ctx, _ in seen[name]] == scored
+        assert [ctx.u for ctx, _ in seen[name]] == scored
         for (ctx, vals), (_, single) in zip(seen[name], seen["single"]):
             assert np.array_equal(vals, single)
-            direct = pagerank(train, seed(ctx.node))
-            assert auc(direct, ctx.truth, ctx.candidates) == reported[train.labels[ctx.node], name]
+            direct = pagerank(train, seed(ctx.u))
+            assert auc(direct, ctx.truth, ctx.candidates) == reported[train.labels[ctx.u], name]
 
 
 def test_linkpred_neighbourhood_max_holds_no_neighbour_vectors(monkeypatch):
@@ -802,7 +840,7 @@ def test_linkpred_neighbourhood_max_holds_no_neighbour_vectors(monkeypatch):
         fn = ex.LINKPRED_METHODS[name]
 
         def rec(ctx):
-            events.append(("score", ctx.node))
+            events.append(("score", ctx.u))
             return fn(ctx)
 
         rec.__dict__.update(vars(fn))  # keep what fn declares
@@ -1097,7 +1135,7 @@ def _declared_context_fields(registry: str, train, split) -> dict:
         u, v = _eligible_seed_edges(split, "and")[0].tolist()
         return dict(u=u, v=v, truth=ground_truth(split, (u, v), "and"), candidates=candidate_nodes(train, u, v, "either"))
     node = next(int(i) for i in np.argsort(-train.degrees, kind="stable") if split.test_graph.degree(i))
-    return dict(u=node, v=node, node=node, truth=frozenset(split.test_graph.neighbors(node).tolist()))
+    return dict(u=node, v=node, truth=split.test_graph.neighbors(node))
 
 
 @pytest.mark.parametrize("registry, name", DECLARED)

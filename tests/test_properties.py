@@ -188,7 +188,8 @@ def test_best_truth_rank_equals_lexsort_rank(data):
     for vals, cands, tr in ((values, candidates, truth),
                             (moved, perm[candidates], frozenset(perm[list(truth)].tolist()))):
         for order in (np.sort(cands), cands):
-            assert _best_truth_rank(vals, order, tr) == lexsort_rank(vals, order, tr)
+            best = _best_truth_rank(vals, order, np.array(sorted(tr), dtype=np.int64))
+            assert best == lexsort_rank(vals, order, tr)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
